@@ -1,20 +1,18 @@
-//! Ablation benches: evaluation engines across encodings, selection
+//! Ablation benches: evaluation engines across indexes, selection
 //! objectives, and the attribute-pruning filter extension.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use xvr_bench::{build_paper_engine, paper_document};
-use xvr_core::filter::{filter_views, filter_views_opts, FilterOptions};
-use xvr_core::Strategy;
-use xvr_pattern::{eval, eval_bf, eval_bn, eval_region, parse_pattern_with};
-use xvr_xml::region::RegionEncoding;
+use xvr_core::filter::{filter_views_metered, FilterOptions};
+use xvr_core::{QueryOptions, StageCounters, Strategy};
+use xvr_pattern::{eval, eval_bf, eval_bn, parse_pattern_with};
 use xvr_xml::{NodeIndex, PathIndex};
 
 fn engines(c: &mut Criterion) {
     let doc = paper_document(0.005, 0x5eed);
     let nidx = NodeIndex::build(&doc.tree, &doc.labels);
     let pidx = PathIndex::build(&doc.tree, &doc.labels);
-    let renc = RegionEncoding::assign(&doc.tree);
     let mut labels = doc.labels.clone();
     let queries = [
         ("shallow", "//person/name"),
@@ -33,9 +31,6 @@ fn engines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bf_path_index", name), &q, |b, q| {
             b.iter(|| eval_bf(q, &doc, &pidx).len())
         });
-        group.bench_with_input(BenchmarkId::new("region_join", name), &q, |b, q| {
-            b.iter(|| eval_region(q, &doc.tree, &nidx, &renc).len())
-        });
     }
     group.finish();
 }
@@ -47,11 +42,18 @@ fn selection_objectives(c: &mut Criterion) {
     group.sample_size(10);
     for (tq, q) in &w.queries {
         for strategy in [Strategy::Mv, Strategy::Hv, Strategy::Cb] {
-            if w.engine.answer(q, strategy).is_err() {
+            // A fresh snapshot (and so a cold rewrite cache) per answer.
+            let answer = || {
+                w.engine
+                    .snapshot()
+                    .query(q, &QueryOptions::strategy(strategy))
+                    .answer
+            };
+            if answer().is_err() {
                 continue;
             }
-            group.bench_with_input(BenchmarkId::new(strategy.as_str(), tq.name), q, |b, q| {
-                b.iter(|| w.engine.answer(q, strategy).unwrap().codes.len())
+            group.bench_with_input(BenchmarkId::new(strategy.as_str(), tq.name), q, |b, _| {
+                b.iter(|| answer().unwrap().codes.len())
             });
         }
     }
@@ -65,24 +67,19 @@ fn attr_pruning(c: &mut Criterion) {
     let q = &w.queries[0].1;
     let views = w.engine.views();
     let nfa = w.engine.nfa();
-    group.bench_function("on", |b| {
-        b.iter(|| filter_views(q, views, nfa).candidates.len())
-    });
-    group.bench_function("off", |b| {
-        b.iter(|| {
-            filter_views_opts(
-                q,
-                views,
-                nfa,
-                FilterOptions {
-                    attr_pruning: false,
-                    ..FilterOptions::default()
-                },
-            )
-            .candidates
-            .len()
-        })
-    });
+    for (name, attr_pruning) in [("on", true), ("off", false)] {
+        let options = FilterOptions {
+            attr_pruning,
+            ..FilterOptions::default()
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                filter_views_metered(q, views, nfa, options, &mut StageCounters::new())
+                    .candidates
+                    .len()
+            })
+        });
+    }
     group.finish();
 }
 

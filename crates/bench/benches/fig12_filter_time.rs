@@ -7,7 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use xvr_bench::{paper_document, test_queries, view_sets};
-use xvr_core::filter::{build_nfa, filter_views};
+use xvr_core::filter::{build_nfa, filter_views_metered, FilterOptions};
+use xvr_core::StageCounters;
 use xvr_pattern::parse_pattern_with;
 
 fn sizes() -> Vec<usize> {
@@ -33,7 +34,17 @@ fn fig12(c: &mut Criterion) {
     for ((size, set), nfa) in sizes.iter().zip(sets.iter()).zip(nfas.iter()) {
         for (name, q) in &queries {
             group.bench_with_input(BenchmarkId::new(*name, size), q, |b, q| {
-                b.iter(|| filter_views(q, set, nfa).candidates.len())
+                b.iter(|| {
+                    filter_views_metered(
+                        q,
+                        set,
+                        nfa,
+                        FilterOptions::default(),
+                        &mut StageCounters::new(),
+                    )
+                    .candidates
+                    .len()
+                })
             });
         }
     }

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use xvr_bench::{build_paper_engine, paper_document, PaperWorkload};
-use xvr_core::Strategy;
+use xvr_core::{QueryOptions, Strategy};
 
 fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
@@ -37,12 +37,19 @@ fn fig8(c: &mut Criterion) {
     group.sample_size(10);
     for (tq, q) in &w.queries {
         for strategy in Strategy::all() {
+            // A fresh snapshot (and so a cold rewrite cache) per answer.
+            let answer = || {
+                w.engine
+                    .snapshot()
+                    .query(q, &QueryOptions::strategy(strategy))
+                    .answer
+            };
             // Stay robust if some strategy cannot answer a query.
-            if w.engine.answer(q, strategy).is_err() {
+            if answer().is_err() {
                 continue;
             }
-            group.bench_with_input(BenchmarkId::new(strategy.as_str(), tq.name), q, |b, q| {
-                b.iter(|| w.engine.answer(q, strategy).unwrap().codes.len())
+            group.bench_with_input(BenchmarkId::new(strategy.as_str(), tq.name), q, |b, _| {
+                b.iter(|| answer().unwrap().codes.len())
             });
         }
     }

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use xvr_bench::{build_paper_engine, paper_document, PaperWorkload};
-use xvr_core::Strategy;
+use xvr_core::{StageCounters, Strategy};
 
 fn workload() -> PaperWorkload {
     let scale = std::env::var("XVR_BENCH_SCALE")
@@ -27,7 +27,10 @@ fn fig9(c: &mut Criterion) {
         for strategy in [Strategy::Mn, Strategy::Mv, Strategy::Hv] {
             group.bench_with_input(BenchmarkId::new(strategy.as_str(), tq.name), q, |b, q| {
                 b.iter(|| {
-                    let (sel, _, _) = w.engine.lookup(q, strategy);
+                    let (sel, _, _) =
+                        w.engine
+                            .snapshot()
+                            .lookup(q, strategy, &mut StageCounters::new());
                     sel.map(|s| s.units.len()).unwrap_or(0)
                 })
             });

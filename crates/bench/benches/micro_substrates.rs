@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use xvr_core::filter::{build_nfa, filter_views};
-use xvr_core::ViewSet;
+use xvr_core::filter::{build_nfa, filter_views_metered, FilterOptions};
+use xvr_core::{StageCounters, ViewSet};
 use xvr_pattern::generator::QueryConfig;
 use xvr_pattern::{distinct_positive_patterns, eval, eval_bf, eval_bn, parse_pattern_with};
 use xvr_xml::generator::{generate, Config};
@@ -57,7 +57,17 @@ fn micro(c: &mut Criterion) {
     }
     let nfa = build_nfa(&set);
     c.bench_function("vfilter_one_query_200_views", |b| {
-        b.iter(|| filter_views(&q, &set, &nfa).candidates.len())
+        b.iter(|| {
+            filter_views_metered(
+                &q,
+                &set,
+                &nfa,
+                FilterOptions::default(),
+                &mut StageCounters::new(),
+            )
+            .candidates
+            .len()
+        })
     });
 }
 

@@ -1,10 +1,11 @@
 //! Rewrite hot-path benchmark: uncached reference rewriter vs. the
 //! per-snapshot [`RewriteCache`], measured three ways —
 //!
-//! 1. **rewrite_only** — direct `rewrite()` vs `rewrite_cached()` calls
-//!    on a pre-built (query, selection, store) pipeline, isolating the
-//!    refinement + join + extraction stage. A sibling **join** section
-//!    pits the legacy scan-merge join (`rewrite_scan`) against the
+//! 1. **rewrite_only** — direct `rewrite_metered` calls without and with
+//!    a `RewriteCache` on a pre-built (query, selection, store) pipeline,
+//!    isolating the refinement + join + extraction stage. A sibling
+//!    **join** section pits the legacy scan-merge join
+//!    (`rewrite_scan_metered`) against the
 //!    galloping flat-code join on the same pipelines, reporting both
 //!    wall-clock and the comparison/probe/skip counters.
 //! 2. **answer_single** — end-to-end `EngineSnapshot::query` (filter +
@@ -12,8 +13,8 @@
 //!    `QueryOptions::with_cache(false)`.
 //! 3. **answer_batch** — repeated-workload batch throughput via
 //!    `query_batch`: the same Table III queries submitted over and over,
-//!    answered by a snapshot with the cache on vs. a snapshot built with
-//!    `rewrite_cache: false`. A final metered pass records the per-stage
+//!    answered with the cache on vs. `QueryOptions::with_cache(false)`.
+//!    A final metered pass records the per-stage
 //!    wall-clock split and pipeline counters (`stage_breakdown` in the
 //!    JSON).
 //!
@@ -29,8 +30,8 @@ use std::time::Instant;
 use criterion::black_box;
 use xvr_bench::{paper_document, planted_views, test_queries};
 use xvr_core::{
-    build_nfa, filter_views, rewrite, rewrite_cached, rewrite_metered, rewrite_scan,
-    rewrite_scan_metered, select_heuristic, Counter, Engine, EngineConfig, MaterializedStore,
+    build_nfa, filter_views_metered, rewrite_metered, rewrite_scan_metered,
+    select_heuristic_metered, Counter, Engine, EngineConfig, FilterOptions, MaterializedStore,
     Obligations, QueryOptions, RewriteCache, StageCounters, StageTimings, Strategy, ViewSet,
 };
 use xvr_pattern::generator::{QueryConfig, QueryGenerator};
@@ -138,19 +139,32 @@ fn main() {
     let mut pipelines = Vec::new();
     for tq in test_queries() {
         let q = parse_pattern_with(tq.xpath, &mut labels).expect("test query parses");
-        let filter = filter_views(&q, &views, &nfa);
+        let mut scratch = StageCounters::new();
+        let filter = filter_views_metered(&q, &views, &nfa, FilterOptions::default(), &mut scratch);
         let ob = Obligations::of(&q);
-        let Some(sel) = select_heuristic(&q, &views, &filter, &ob) else {
+        let Some(sel) = select_heuristic_metered(&q, &views, &filter, &ob, &mut scratch) else {
             println!("rewrite_only/{:<26} skipped (not answerable)", tq.name);
             continue;
         };
+        let rewrite = |cache| {
+            rewrite_metered(
+                &q,
+                &sel,
+                &views,
+                &store,
+                &doc.fst,
+                cache,
+                &mut StageCounters::new(),
+            )
+            .unwrap()
+        };
         let uncached_ns = bench_ns(samples, || {
-            rewrite(&q, &sel, &views, &store, &doc.fst).unwrap();
+            rewrite(None);
         });
         let cache = RewriteCache::new();
-        rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap();
+        rewrite(Some(&cache));
         let cached_ns = bench_ns(samples, || {
-            rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap();
+            rewrite(Some(&cache));
         });
         let r = PairResult {
             name: tq.name.to_string(),
@@ -178,10 +192,20 @@ fn main() {
     let mut join_rows = Vec::new();
     for (name, q, sel) in &pipelines {
         let scan_ns = bench_ns(samples, || {
-            rewrite_scan(q, sel, &views, &store, &doc.fst).unwrap();
+            rewrite_scan_metered(q, sel, &views, &store, &doc.fst, &mut StageCounters::new())
+                .unwrap();
         });
         let gallop_ns = bench_ns(samples, || {
-            rewrite(q, sel, &views, &store, &doc.fst).unwrap();
+            rewrite_metered(
+                q,
+                sel,
+                &views,
+                &store,
+                &doc.fst,
+                None,
+                &mut StageCounters::new(),
+            )
+            .unwrap();
         });
         let mut scan_c = StageCounters::new();
         rewrite_scan_metered(q, sel, &views, &store, &doc.fst, &mut scan_c).unwrap();
@@ -221,7 +245,7 @@ fn main() {
         QueryConfig::paper_view_workload(42),
         n_views.saturating_sub(planted_views().len()),
     ) {
-        engine.add_view(v);
+        engine.add_view(v).expect("generated view fits the catalog");
     }
     let queries: Vec<(String, TreePattern)> = test_queries()
         .iter()
@@ -267,36 +291,18 @@ fn main() {
     // The same four queries resubmitted over and over — the shape the
     // per-snapshot cache is built for: every rewrite after the first four
     // is a pure cache hit.
-    let mut engine_off = Engine::new(doc.clone(), {
-        EngineConfig {
-            rewrite_cache: false,
-            ..EngineConfig::default()
-        }
-    });
-    for src in planted_views() {
-        engine_off.add_view_str(src).expect("planted view parses");
-    }
-    for v in distinct_positive_patterns(
-        &doc,
-        QueryConfig::paper_view_workload(42),
-        n_views.saturating_sub(planted_views().len()),
-    ) {
-        engine_off.add_view(v);
-    }
-    let snap_off = engine_off.snapshot();
     let batch: Vec<TreePattern> = (0..batch_repeats)
         .flat_map(|_| queries.iter().map(|(_, q)| q.clone()))
         .collect();
-    let batch_qps = |s: &xvr_core::EngineSnapshot| {
+    let batch_qps = |options: &QueryOptions| {
         // Warm once (populates the cache when enabled), then best-of-3.
-        let options = QueryOptions::strategy(Strategy::Hv);
-        s.query_batch(&batch, &options, jobs);
+        snap.query_batch(&batch, options, jobs);
         (0..3)
-            .map(|_| s.query_batch(&batch, &options, jobs).qps())
+            .map(|_| snap.query_batch(&batch, options, jobs).qps())
             .fold(0.0_f64, f64::max)
     };
-    let uncached_qps = batch_qps(&snap_off);
-    let cached_qps = batch_qps(&snap);
+    let uncached_qps = batch_qps(&uncached);
+    let cached_qps = batch_qps(&cached);
     let batch_speedup = cached_qps / uncached_qps;
     println!(
         "answer_batch/{} queries x{jobs} jobs   uncached {uncached_qps:>8.0} q/s | cached {cached_qps:>8.0} q/s | {batch_speedup:.2}x",
@@ -351,7 +357,9 @@ fn main() {
             cengine.add_view_str(v).expect("planted member view parses");
         }
         for v in extra {
-            cengine.add_view(v);
+            cengine
+                .add_view(v)
+                .expect("generated view fits the catalog");
         }
         let csnap = cengine.snapshot();
         let mut cov_batch: Vec<TreePattern> = vec![csnap

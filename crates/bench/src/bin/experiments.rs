@@ -20,8 +20,10 @@
 use std::time::Instant;
 
 use xvr_bench::{build_paper_engine, paper_document, test_queries, view_sets};
-use xvr_core::filter::{build_nfa, build_nfa_raw, filter_views, filter_views_opts, FilterOptions};
-use xvr_core::{QueryOptions, Strategy, ViewSet};
+use xvr_core::filter::{
+    build_nfa, build_nfa_raw, filter_views_metered, FilterOptions, FilterOutcome,
+};
+use xvr_core::{Answer, AnswerError, Engine, Nfa, QueryOptions, StageCounters, Strategy, ViewSet};
 use xvr_pattern::generator::QueryConfig;
 use xvr_pattern::{distinct_positive_patterns, exists_hom, parse_pattern_with, TreePattern};
 use xvr_xml::{Document, NodeIndex, PathIndex};
@@ -90,6 +92,20 @@ fn time_us<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
+}
+
+/// Answer `q` on a fresh snapshot, so every timed call starts with a cold
+/// rewrite cache.
+fn answer(engine: &Engine, q: &TreePattern, strategy: Strategy) -> Result<Answer, AnswerError> {
+    engine
+        .snapshot()
+        .query(q, &QueryOptions::strategy(strategy))
+        .answer
+}
+
+/// VFILTER with scratch counters.
+fn filter(q: &TreePattern, views: &ViewSet, nfa: &Nfa, options: FilterOptions) -> FilterOutcome {
+    filter_views_metered(q, views, nfa, options, &mut StageCounters::new())
 }
 
 fn fmt_us(us: f64) -> String {
@@ -168,8 +184,8 @@ fn ablations(doc: &Document, w: &xvr_bench::PaperWorkload, set: &ViewSet, reps: 
     let mut hom_checked = 0usize;
     let mut norm_only: Vec<(TreePattern, TreePattern)> = Vec::new();
     for q in &queries {
-        let with = filter_views(q, &dense_set, &normalized);
-        let without = filter_views_opts(
+        let with = filter(q, &dense_set, &normalized, FilterOptions::default());
+        let without = filter(
             q,
             &dense_set,
             &raw,
@@ -238,8 +254,10 @@ fn ablations(doc: &Document, w: &xvr_bench::PaperWorkload, set: &ViewSet, reps: 
         let attr_queries = distinct_positive_patterns(doc, qcfg, 100);
         let (mut with_sum, mut without_sum) = (0usize, 0usize);
         for q in &attr_queries {
-            with_sum += filter_views(q, &attr_set, &nfa).candidates.len();
-            without_sum += filter_views_opts(
+            with_sum += filter(q, &attr_set, &nfa, FilterOptions::default())
+                .candidates
+                .len();
+            without_sum += filter(
                 q,
                 &attr_set,
                 &nfa,
@@ -291,9 +309,9 @@ fn ablations(doc: &Document, w: &xvr_bench::PaperWorkload, set: &ViewSet, reps: 
         let mut times = Vec::new();
         let mut used = Vec::new();
         for strategy in [Strategy::Mv, Strategy::Hv, Strategy::Cb] {
-            match w.engine.answer(q, strategy) {
+            match answer(&w.engine, q, strategy) {
                 Ok(a) => {
-                    let us = time_us(reps, || w.engine.answer(q, strategy).unwrap().codes.len());
+                    let us = time_us(reps, || answer(&w.engine, q, strategy).unwrap().codes.len());
                     times.push(fmt_us(us));
                     used.push(a.views_used.len().to_string());
                 }
@@ -338,9 +356,7 @@ fn table_iii(w: &xvr_bench::PaperWorkload) {
     println!("| query | xpath | views used (HV) | paper |");
     println!("|---|---|---|---|");
     for (tq, q) in &w.queries {
-        let used = w
-            .engine
-            .answer(q, Strategy::Hv)
+        let used = answer(&w.engine, q, Strategy::Hv)
             .map(|a| a.views_used.len().to_string())
             .unwrap_or_else(|_| "—".to_owned());
         println!(
@@ -361,11 +377,11 @@ fn fig8(w: &xvr_bench::PaperWorkload, reps: usize) {
     for (tq, q) in &w.queries {
         print!("| {} |", tq.name);
         for strategy in Strategy::all() {
-            if w.engine.answer(q, strategy).is_err() {
+            if answer(&w.engine, q, strategy).is_err() {
                 print!(" — |");
                 continue;
             }
-            let us = time_us(reps, || w.engine.answer(q, strategy).unwrap().codes.len());
+            let us = time_us(reps, || answer(&w.engine, q, strategy).unwrap().codes.len());
             print!(" {} |", fmt_us(us));
         }
         println!();
@@ -381,7 +397,10 @@ fn fig9(w: &xvr_bench::PaperWorkload, reps: usize) {
         print!("| {} |", tq.name);
         for strategy in [Strategy::Mn, Strategy::Mv, Strategy::Hv] {
             let us = time_us(reps, || {
-                let (sel, _, _) = w.engine.lookup(q, strategy);
+                let (sel, _, _) =
+                    w.engine
+                        .snapshot()
+                        .lookup(q, strategy, &mut StageCounters::new());
                 sel.map(|s| s.units.len()).unwrap_or(0)
             });
             print!(" {} |", fmt_us(us));
@@ -459,7 +478,7 @@ fn fig10(doc: &Document, sets: &[ViewSet], sizes: &[usize]) {
         let mut max_u = 0.0f64;
         let mut max_candidates = 0usize;
         for q in &sample {
-            let outcome = filter_views(q, set, &nfa);
+            let outcome = filter(q, set, &nfa, FilterOptions::default());
             let v_q = set.iter().filter(|v| exists_hom(&v.pattern, q)).count();
             if v_q == 0 {
                 continue;
@@ -520,7 +539,11 @@ fn fig12(doc: &Document, sets: &[ViewSet], sizes: &[usize], reps: usize) {
         let nfa = build_nfa(set);
         print!("| {size} |");
         for (_, q) in &queries {
-            let us = time_us(reps.max(50), || filter_views(q, set, &nfa).candidates.len());
+            let us = time_us(reps.max(50), || {
+                filter(q, set, &nfa, FilterOptions::default())
+                    .candidates
+                    .len()
+            });
             print!(" {} |", fmt_us(us));
         }
         println!();

@@ -117,7 +117,7 @@ fn run_scale(scale: f64, n_views: usize, budget: usize, reps: usize, seed: u64) 
         ids.push(engine.add_view_str(src).expect("planted view parses"));
     }
     for p in bulk {
-        ids.push(engine.add_view(p));
+        ids.push(engine.add_view(p).expect("generated view fits the catalog"));
     }
     let materialize_ms = t0.elapsed().as_secs_f64() * 1e3;
 

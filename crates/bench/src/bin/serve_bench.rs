@@ -99,7 +99,7 @@ fn main() {
         QueryConfig::paper_view_workload(42),
         n_views.saturating_sub(sources.len()),
     ) {
-        engine.add_view(v);
+        engine.add_view(v).expect("generated view fits the catalog");
     }
     let views_at_start = engine.views().len();
 

@@ -133,7 +133,7 @@ pub fn build_paper_engine(
         engine.add_view_str(src).expect("planted view parses");
     }
     for v in random {
-        engine.add_view(v);
+        engine.add_view(v).expect("generated view fits the catalog");
     }
     let queries = test_queries()
         .into_iter()
@@ -171,7 +171,11 @@ pub fn view_sets(doc: &Document, sizes: &[usize], seed: u64) -> Vec<ViewSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xvr_core::Strategy;
+    use xvr_core::{Answer, AnswerError, EngineSnapshot, QueryOptions, Strategy};
+
+    fn answer(snap: &EngineSnapshot, q: &TreePattern, s: Strategy) -> Result<Answer, AnswerError> {
+        snap.query(q, &QueryOptions::strategy(s)).answer
+    }
 
     /// Table III: with only the planted views, Q1–Q4 are answered by
     /// exactly 1/2/2/3 views, and the answers equal direct evaluation.
@@ -184,14 +188,14 @@ mod tests {
         }
         for tq in test_queries() {
             let q = engine.parse(tq.xpath).unwrap();
-            let reference = engine.answer(&q, Strategy::Bn).unwrap();
+            let snap = engine.snapshot();
+            let reference = answer(&snap, &q, Strategy::Bn).unwrap();
             assert!(
                 !reference.codes.is_empty(),
                 "{} is not positive on the test document",
                 tq.name
             );
-            let a = engine
-                .answer(&q, Strategy::Hv)
+            let a = answer(&snap, &q, Strategy::Hv)
                 .unwrap_or_else(|e| panic!("{} not answerable from planted views: {e}", tq.name));
             assert_eq!(a.codes, reference.codes, "{}", tq.name);
             assert_eq!(
@@ -209,12 +213,11 @@ mod tests {
     fn full_workload_answers_test_queries() {
         let doc = paper_document(0.002, 7);
         let w = build_paper_engine(doc, 100, 11, usize::MAX);
+        let snap = w.engine.snapshot();
         for (tq, q) in &w.queries {
-            let reference = w.engine.answer(q, Strategy::Bf).unwrap();
+            let reference = answer(&snap, q, Strategy::Bf).unwrap();
             for strategy in [Strategy::Mv, Strategy::Hv] {
-                let a = w
-                    .engine
-                    .answer(q, strategy)
+                let a = answer(&snap, q, strategy)
                     .unwrap_or_else(|e| panic!("{} under {strategy}: {e}", tq.name));
                 assert_eq!(a.codes, reference.codes, "{} {strategy}", tq.name);
             }
@@ -224,13 +227,13 @@ mod tests {
     #[test]
     fn xmark_queries_run_and_engines_agree() {
         let doc = paper_document(0.004, 7);
-        let engine = Engine::new(doc, EngineConfig::default());
+        let snap = Engine::new(doc, EngineConfig::default()).snapshot();
         let mut positive = 0usize;
-        let mut labels = engine.labels().clone();
+        let mut labels = snap.labels().clone();
         for (name, src) in xmark_queries() {
             let q = xvr_pattern::parse_pattern_with(src, &mut labels).unwrap();
-            let bn = engine.answer(&q, Strategy::Bn).unwrap();
-            let bf = engine.answer(&q, Strategy::Bf).unwrap();
+            let bn = answer(&snap, &q, Strategy::Bn).unwrap();
+            let bf = answer(&snap, &q, Strategy::Bf).unwrap();
             assert_eq!(bn.codes, bf.codes, "{name}");
             if !bn.codes.is_empty() {
                 positive += 1;
@@ -248,16 +251,15 @@ mod tests {
             .map(|(n, src)| (n, engine.parse(src).unwrap()))
             .collect();
         for (_, q) in &queries {
-            engine.add_view(q.clone());
+            engine.add_view(q.clone()).unwrap();
         }
+        let snap = engine.snapshot();
         for (name, q) in &queries {
-            let reference = engine.answer(q, Strategy::Bn).unwrap();
+            let reference = answer(&snap, q, Strategy::Bn).unwrap();
             if reference.codes.is_empty() {
                 continue;
             }
-            let a = engine
-                .answer(q, Strategy::Hv)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let a = answer(&snap, q, Strategy::Hv).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(a.codes, reference.codes, "{name}");
         }
     }

@@ -596,17 +596,15 @@ fn filter(argv: &[String]) -> Result<ExitCode, CliError> {
     let q = engine
         .parse(query_src)
         .map_err(|e| CliError::Input(format!("query: {e}")))?;
-    let outcome = engine.filter(&q);
+    let snap = engine.snapshot();
+    let outcome = snap.filter(&q);
     outln!(
         "{} of {} views survive filtering:",
         outcome.candidates.len(),
-        engine.views().len()
+        snap.views().len()
     );
     for &v in &outcome.candidates {
-        outln!(
-            "  {}",
-            engine.views().view(v).pattern.display(engine.labels())
-        );
+        outln!("  {}", snap.views().view(v).pattern.display(snap.labels()));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -138,6 +138,26 @@ fn input_errors_exit_3() {
     assert_eq!(out.status.code(), Some(3));
 }
 
+/// A view with more root-to-leaf paths than the catalog can track is an
+/// input error (exit 3), not a panic (exit 101).
+#[test]
+fn view_with_65_paths_exits_3() {
+    let doc = write_doc();
+    let preds: String = (0..65).map(|i| format!("[c{i}]")).collect();
+    let out = xvr()
+        .args(["answer", "--doc"])
+        .arg(doc.path())
+        .args(["--view", &format!("/library{preds}"), "/library"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("65 distinct root-to-leaf paths"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn generate_then_query_round_trip() {
     let out = xvr()

@@ -15,9 +15,8 @@
 //! The engine is the **writer** half of a writer/reader split: it owns all
 //! mutation (view registration, document appends, label growth) and hands
 //! out immutable [`EngineSnapshot`]s that carry the whole read path and
-//! can be shared freely across threads. The engine's own query methods
-//! (`answer`, `filter`, `lookup`, `explain`) are conveniences that
-//! delegate to an ephemeral snapshot.
+//! can be shared freely across threads. The engine has no read methods
+//! of its own: every query goes through [`Engine::snapshot`].
 
 use std::collections::HashSet;
 use std::fmt;
@@ -26,13 +25,13 @@ use std::sync::Arc;
 use xvr_pattern::{parse_pattern_with, PLabel, PatternParseError, TreePattern};
 use xvr_xml::{CodeStability, DeweyCode, Document, Label, LabelTable, NodeIndex, PathIndex};
 
-use crate::filter::{build_nfa, FilterOutcome};
+use crate::error::QueryError;
+use crate::filter::build_nfa;
 use crate::materialize::MaterializedStore;
 use crate::metrics::SnapshotMetrics;
 use crate::nfa::{AcceptEntry, Nfa};
 use crate::rewrite::{RewriteCache, RewriteError};
-use crate::select::Selection;
-use crate::snapshot::{EngineSnapshot, QueryOptions};
+use crate::snapshot::EngineSnapshot;
 use crate::view::{ViewId, ViewSet};
 
 /// Evaluation strategy.
@@ -231,18 +230,6 @@ pub struct EngineConfig {
     /// Per-view overhead (in byte-equivalents) charged by the cost-based
     /// strategy for each additional distinct view.
     pub cost_view_overhead: usize,
-    /// Use the per-snapshot [`RewriteCache`] (memoized refinement + prefix
-    /// trees, single-unit fast path) on the answer path. Disable to force
-    /// every answer through the uncached reference rewriter — the two are
-    /// checked identical by the determinism tests and the oracle.
-    pub rewrite_cache: bool,
-    /// Route the rewriting stage through the legacy scan-merge join
-    /// ([`crate::rewrite_scan`]) instead of the galloping flat-code join.
-    /// A debugging/differential knob: the scan join ignores the rewrite
-    /// cache and re-derives everything per query, and the oracle's
-    /// `JoinEquivalence` invariant plus the join-differential tests hold
-    /// the two joins byte-identical.
-    pub scan_join: bool,
 }
 
 impl Default for EngineConfig {
@@ -251,8 +238,6 @@ impl Default for EngineConfig {
             fragment_budget: usize::MAX,
             max_minimum_views: 4,
             cost_view_overhead: 1024,
-            rewrite_cache: true,
-            scan_join: false,
         }
     }
 }
@@ -367,9 +352,14 @@ impl Engine {
     }
 
     /// Register and materialize a view; updates VFILTER incrementally.
-    pub fn add_view(&mut self, pattern: TreePattern) -> ViewId {
+    ///
+    /// A view the catalog cannot hold — more than
+    /// [`MAX_VIEW_PATHS`](crate::view::MAX_VIEW_PATHS) root-to-leaf paths
+    /// after minimization — is rejected with [`QueryError::Input`] before
+    /// any state changes.
+    pub fn add_view(&mut self, pattern: TreePattern) -> Result<ViewId, QueryError> {
         let views = Arc::make_mut(&mut self.views);
-        let id = views.add(pattern);
+        let id = views.try_add(pattern).map_err(QueryError::Input)?;
         let nfa = Arc::make_mut(&mut self.nfa);
         for (idx, path) in views.view(id).normalized_paths.iter().enumerate() {
             nfa.insert(
@@ -388,13 +378,15 @@ impl Engine {
             id,
             self.config.fragment_budget,
         );
-        id
+        Ok(id)
     }
 
-    /// Parse-and-register convenience.
-    pub fn add_view_str(&mut self, src: &str) -> Result<ViewId, PatternParseError> {
+    /// Parse-and-register convenience. Parsing interns the source's
+    /// element names (see [`Self::parse`]) even when the view is then
+    /// refused.
+    pub fn add_view_str(&mut self, src: &str) -> Result<ViewId, QueryError> {
         let p = self.parse(src)?;
-        Ok(self.add_view(p))
+        self.add_view(p)
     }
 
     /// Rebuild the VFILTER automaton from scratch (used by size benchmarks).
@@ -464,44 +456,12 @@ impl Engine {
         self.rebuild_nfa();
         Ok(ids)
     }
-
-    /// Run VFILTER only (Figure 12's measured operation).
-    pub fn filter(&self, q: &TreePattern) -> FilterOutcome {
-        self.snapshot().filter(q)
-    }
-
-    /// Run selection only — filter (unless `Mn`) plus view-set search.
-    /// Returns the selection and the timings of both stages (Figure 9's
-    /// "lookup").
-    pub fn lookup(
-        &self,
-        q: &TreePattern,
-        strategy: Strategy,
-    ) -> (Option<Selection>, StageTimings, usize) {
-        self.snapshot().lookup(q, strategy)
-    }
-
-    /// Produce a human-readable plan for answering `q` under a view
-    /// strategy (errors for base strategies and unanswerable queries).
-    pub fn explain(
-        &self,
-        q: &TreePattern,
-        strategy: Strategy,
-    ) -> Result<crate::explain::Explanation, AnswerError> {
-        self.snapshot().explain(q, strategy)
-    }
-
-    /// Answer `q` under `strategy`.
-    pub fn answer(&self, q: &TreePattern, strategy: Strategy) -> Result<Answer, AnswerError> {
-        self.snapshot()
-            .query(q, &QueryOptions::strategy(strategy))
-            .answer
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::QueryOptions;
     use xvr_xml::samples::book_document;
 
     fn engine_with_views(view_srcs: &[&str]) -> Engine {
@@ -512,14 +472,19 @@ mod tests {
         e
     }
 
+    fn answer(snap: &EngineSnapshot, q: &TreePattern, s: Strategy) -> Result<Answer, AnswerError> {
+        snap.query(q, &QueryOptions::strategy(s)).answer
+    }
+
     #[test]
     fn all_strategies_agree() {
         let mut e = engine_with_views(&["//s[t]/p", "//s[p]/f", "//s//p", "//s[.//i]"]);
         let q = e.parse("//s[f//i][t]/p").unwrap();
-        let reference = e.answer(&q, Strategy::Bn).unwrap().codes;
+        let snap = e.snapshot();
+        let reference = answer(&snap, &q, Strategy::Bn).unwrap().codes;
         assert_eq!(reference.len(), 5);
         for strategy in Strategy::all_extended() {
-            let a = e.answer(&q, strategy).unwrap();
+            let a = answer(&snap, &q, strategy).unwrap();
             assert_eq!(a.codes, reference, "{strategy}");
         }
     }
@@ -528,10 +493,11 @@ mod tests {
     fn view_strategies_report_views_used() {
         let mut e = engine_with_views(&["//s[t]/p", "//s[p]/f"]);
         let q = e.parse("//s[f//i][t]/p").unwrap();
-        let a = e.answer(&q, Strategy::Hv).unwrap();
+        let snap = e.snapshot();
+        let a = answer(&snap, &q, Strategy::Hv).unwrap();
         assert_eq!(a.views_used.len(), 2);
         assert!(a.candidates >= 2);
-        let b = e.answer(&q, Strategy::Bf).unwrap();
+        let b = answer(&snap, &q, Strategy::Bf).unwrap();
         assert!(b.views_used.is_empty());
     }
 
@@ -539,12 +505,13 @@ mod tests {
     fn not_answerable_without_views() {
         let mut e = engine_with_views(&["//s/t"]);
         let q = e.parse("//s[f//i][t]/p").unwrap();
+        let snap = e.snapshot();
         assert_eq!(
-            e.answer(&q, Strategy::Hv).unwrap_err(),
+            answer(&snap, &q, Strategy::Hv).unwrap_err(),
             AnswerError::NotAnswerable
         );
         // Base strategies always work.
-        assert!(e.answer(&q, Strategy::Bn).is_ok());
+        assert!(answer(&snap, &q, Strategy::Bn).is_ok());
     }
 
     #[test]
@@ -560,7 +527,7 @@ mod tests {
         let q = e.parse("//s[t]/p").unwrap();
         // The only view is truncated → not answerable (instead of wrong).
         assert_eq!(
-            e.answer(&q, Strategy::Hv).unwrap_err(),
+            answer(&e.snapshot(), &q, Strategy::Hv).unwrap_err(),
             AnswerError::NotAnswerable
         );
     }
@@ -569,16 +536,16 @@ mod tests {
     fn incremental_nfa_matches_rebuild() {
         let mut e = engine_with_views(&["//s[t]/p", "//s[p]/f", "//s//p"]);
         let q = e.parse("//s[f//i][t]/p").unwrap();
-        let before = e.filter(&q).candidates.clone();
+        let before = e.snapshot().filter(&q).candidates;
         e.rebuild_nfa();
-        assert_eq!(e.filter(&q).candidates, before);
+        assert_eq!(e.snapshot().filter(&q).candidates, before);
     }
 
     #[test]
     fn save_and_load_views_round_trip() {
         let mut e = engine_with_views(&["//s[t]/p", "//s[p]/f"]);
         let q = e.parse("//s[f//i][t]/p").unwrap();
-        let want = e.answer(&q, Strategy::Hv).unwrap().codes;
+        let want = answer(&e.snapshot(), &q, Strategy::Hv).unwrap().codes;
         let dir = std::env::temp_dir().join(format!("xvr-engine-save-{}", std::process::id()));
         e.save_views(&dir).unwrap();
 
@@ -586,7 +553,7 @@ mod tests {
         let loaded = e2.load_views(&dir).unwrap();
         assert_eq!(loaded.len(), 2);
         let q2 = e2.parse("//s[f//i][t]/p").unwrap();
-        let got = e2.answer(&q2, Strategy::Hv).unwrap().codes;
+        let got = answer(&e2.snapshot(), &q2, Strategy::Hv).unwrap().codes;
         assert_eq!(got, want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -595,7 +562,22 @@ mod tests {
     fn timings_populate() {
         let mut e = engine_with_views(&["//s[t]/p"]);
         let q = e.parse("//s[t]/p").unwrap();
-        let a = e.answer(&q, Strategy::Hv).unwrap();
+        let a = answer(&e.snapshot(), &q, Strategy::Hv).unwrap();
         assert!(a.timings.total_us() >= a.timings.lookup_us());
+    }
+
+    #[test]
+    fn view_with_too_many_paths_is_rejected_without_side_effects() {
+        let mut e = engine_with_views(&["//s[t]/p"]);
+        let preds: String = (0..=crate::view::MAX_VIEW_PATHS)
+            .map(|i| format!("[c{i}]"))
+            .collect();
+        let err = e.add_view_str(&format!("/a{preds}")).unwrap_err();
+        assert!(matches!(err, QueryError::Input(_)), "{err:?}");
+        assert_eq!(err.exit_code(), 3);
+        assert_eq!(e.views().len(), 1);
+        assert_eq!(e.store().len(), 1);
+        // The writer is still usable, and the next id is the next slot.
+        assert_eq!(e.add_view_str("//s[p]/f").unwrap(), ViewId(1));
     }
 }

@@ -57,7 +57,8 @@ pub fn build_nfa(views: &ViewSet) -> Nfa {
 }
 
 /// Filtering knobs, mainly for ablation studies. The defaults are what
-/// [`filter_views`] uses (and what the correctness guarantees assume).
+/// the answering pipeline uses (and what the correctness guarantees
+/// assume).
 #[derive(Clone, Copy, Debug)]
 pub struct FilterOptions {
     /// Attribute-signature pruning (Section VII extension): an accepting
@@ -101,24 +102,10 @@ pub fn build_nfa_raw(views: &ViewSet) -> Nfa {
 }
 
 /// Algorithm 1: filter `views` down to candidates for answering `q`,
-/// with the default options.
-pub fn filter_views(q: &TreePattern, views: &ViewSet, nfa: &Nfa) -> FilterOutcome {
-    filter_views_opts(q, views, nfa, FilterOptions::default())
-}
-
-/// [`filter_views`] with explicit [`FilterOptions`].
-pub fn filter_views_opts(
-    q: &TreePattern,
-    views: &ViewSet,
-    nfa: &Nfa,
-    options: FilterOptions,
-) -> FilterOutcome {
-    filter_views_metered(q, views, nfa, options, &mut StageCounters::new())
-}
-
-/// [`filter_views_opts`] recording observability counters: views
-/// admitted/rejected, NFA state activations, query path count, and the
-/// per-path candidate list sizes (see [`crate::metrics`]).
+/// recording observability counters: views admitted/rejected, NFA state
+/// activations, query path count, and the per-path candidate list sizes
+/// (see [`crate::metrics`]). Callers that keep no counters pass a scratch
+/// `&mut StageCounters::new()`.
 pub fn filter_views_metered(
     q: &TreePattern,
     views: &ViewSet,
@@ -129,10 +116,10 @@ pub fn filter_views_metered(
     counters.bump(Counter::FilterRuns);
     let d = decompose(q);
     counters.add(Counter::FilterQueryPaths, d.paths.len() as u64);
-    // Matched view-path indices per view, as bitmasks (a minimized pattern
-    // with > 64 root-to-leaf paths does not occur in practice; the
-    // registration path asserts it). Dense arrays beat hash maps here: the
-    // automaton produces many hits per query path.
+    // Matched view-path indices per view, as bitmasks (registration
+    // rejects views with more than `MAX_VIEW_PATHS` = 64 paths). Dense
+    // arrays beat hash maps here: the automaton produces many hits per
+    // query path.
     let mut matched: Vec<u64> = vec![0; views.len()];
     let mut lists: Vec<Vec<(ViewId, u32)>> = Vec::with_capacity(d.paths.len());
     let mut best_len: Vec<u32> = vec![0; views.len()];
@@ -195,6 +182,16 @@ mod tests {
     use xvr_pattern::parse_pattern_with;
     use xvr_xml::LabelTable;
 
+    /// Algorithm 1 with scratch counters.
+    fn filter(
+        q: &TreePattern,
+        views: &ViewSet,
+        nfa: &Nfa,
+        options: FilterOptions,
+    ) -> FilterOutcome {
+        filter_views_metered(q, views, nfa, options, &mut StageCounters::new())
+    }
+
     /// Table I's four views.
     fn table_i(labels: &mut LabelTable) -> ViewSet {
         let mut set = ViewSet::new();
@@ -213,7 +210,7 @@ mod tests {
         let views = table_i(&mut labels);
         let nfa = build_nfa(&views);
         let q = parse_pattern_with("/s[f//i][t]/p", &mut labels).unwrap();
-        let out = filter_views(&q, &views, &nfa);
+        let out = filter(&q, &views, &nfa, FilterOptions::default());
         assert!(out.candidates.contains(&ViewId(0)), "{:?}", out.candidates);
         assert!(!out.candidates.contains(&ViewId(2)), "{:?}", out.candidates);
         assert_eq!(out.query_path_count, 3);
@@ -242,7 +239,7 @@ mod tests {
         let nfa = build_nfa(&views);
         for qsrc in ["/s[f//i][t]/p", "/s[t]/p", "/s/p"] {
             let q = parse_pattern_with(qsrc, &mut labels).unwrap();
-            let out = filter_views(&q, &views, &nfa);
+            let out = filter(&q, &views, &nfa, FilterOptions::default());
             for (i, vsrc) in view_srcs.iter().enumerate() {
                 let v = parse_pattern_with(vsrc, &mut labels).unwrap();
                 if xvr_pattern::contains(&v, &q) {
@@ -264,7 +261,7 @@ mod tests {
         views.add(parse_pattern_with("/s/p", &mut labels).unwrap());
         let nfa = build_nfa(&views);
         let q = parse_pattern_with("/s[t]/p", &mut labels).unwrap();
-        let out = filter_views(&q, &views, &nfa);
+        let out = filter(&q, &views, &nfa, FilterOptions::default());
         assert_eq!(out.candidates, vec![ViewId(2)]);
     }
 
@@ -277,7 +274,7 @@ mod tests {
         views.add(parse_pattern_with("//p", &mut labels).unwrap()); // len 1
         let nfa = build_nfa(&views);
         let q = parse_pattern_with("/s/p", &mut labels).unwrap();
-        let out = filter_views(&q, &views, &nfa);
+        let out = filter(&q, &views, &nfa, FilterOptions::default());
         assert_eq!(out.lists.len(), 1);
         let lens: Vec<u32> = out.lists[0].iter().map(|&(_, l)| l).collect();
         let mut sorted = lens.clone();
@@ -296,7 +293,7 @@ mod tests {
         views.add(parse_pattern_with("/s/p", &mut labels).unwrap());
         let nfa = build_nfa(&views);
         let q = parse_pattern_with("/s/p", &mut labels).unwrap();
-        let out = filter_views(&q, &views, &nfa);
+        let out = filter(&q, &views, &nfa, FilterOptions::default());
         assert_eq!(out.candidates, vec![ViewId(1)]);
         for list in &out.lists {
             assert!(list.iter().all(|&(v, _)| v == ViewId(1)));
@@ -313,7 +310,7 @@ mod tests {
         let nfa = build_nfa(&views);
         // Query with three paths: two contained in a//b, one in a//c.
         let q = parse_pattern_with("/a[b][x/b]//c", &mut labels).unwrap();
-        let out = filter_views(&q, &views, &nfa);
+        let out = filter(&q, &views, &nfa, FilterOptions::default());
         assert_eq!(out.candidates, vec![ViewId(0)]);
     }
 
@@ -326,8 +323,8 @@ mod tests {
         views.add(parse_pattern_with("//a/b", &mut labels).unwrap());
         let nfa = build_nfa(&views);
         let q = parse_pattern_with("//a[c]/b", &mut labels).unwrap();
-        let with = filter_views(&q, &views, &nfa);
-        let without = filter_views_opts(
+        let with = filter(&q, &views, &nfa, FilterOptions::default());
+        let without = filter(
             &q,
             &views,
             &nfa,
@@ -348,7 +345,7 @@ mod tests {
         let nfa = build_nfa(&views);
         // Query provides @id (by equality, which implies existence).
         let q = parse_pattern_with(r#"//a[@id="7"]/b"#, &mut labels).unwrap();
-        let out = filter_views(&q, &views, &nfa);
+        let out = filter(&q, &views, &nfa, FilterOptions::default());
         assert_eq!(out.candidates, vec![ViewId(0)]);
     }
 
@@ -362,11 +359,11 @@ mod tests {
         let q = parse_pattern_with("/s//*/t", &mut labels).unwrap();
         let normalized = build_nfa(&views);
         assert_eq!(
-            filter_views(&q, &views, &normalized).candidates,
+            filter(&q, &views, &normalized, FilterOptions::default()).candidates,
             vec![ViewId(0)]
         );
         let raw = build_nfa_raw(&views);
-        let out = filter_views_opts(
+        let out = filter(
             &q,
             &views,
             &raw,
@@ -384,7 +381,7 @@ mod tests {
         let views = ViewSet::new();
         let nfa = build_nfa(&views);
         let q = parse_pattern_with("/a/b", &mut labels).unwrap();
-        let out = filter_views(&q, &views, &nfa);
+        let out = filter(&q, &views, &nfa, FilterOptions::default());
         assert!(out.candidates.is_empty());
     }
 }

@@ -101,10 +101,7 @@ pub use engine::{
 };
 pub use error::QueryError;
 pub use explain::{Explanation, UnitExplanation};
-pub use filter::{
-    build_nfa, build_nfa_raw, filter_views, filter_views_metered, filter_views_opts, FilterOptions,
-    FilterOutcome,
-};
+pub use filter::{build_nfa, build_nfa_raw, filter_views_metered, FilterOptions, FilterOutcome};
 pub use leafcover::{intersect_cover, leaf_cover, leaf_covers, LeafCover, Obligation, Obligations};
 pub use materialize::{MaterializedStore, MaterializedView};
 pub use metrics::{Counter, Hist, MetricsReport, QueryReport, SnapshotMetrics, StageCounters};
@@ -114,13 +111,11 @@ pub use oracle::{
     Invariant, OracleConfig, Reproducer, RunSummary, Violation,
 };
 pub use rewrite::{
-    rewrite, rewrite_cached, rewrite_intersect, rewrite_intersect_metered, rewrite_metered,
-    rewrite_scan, rewrite_scan_metered, RewriteCache, RewriteError,
+    rewrite_intersect_metered, rewrite_metered, rewrite_scan_metered, RewriteCache, RewriteError,
 };
 pub use select::{
-    select_cost_based, select_cost_based_metered, select_heuristic, select_heuristic_metered,
-    select_intersection, select_intersection_metered, select_minimum, select_minimum_metered,
-    SelectedView, Selection,
+    select_cost_based_metered, select_heuristic_metered, select_intersection_metered,
+    select_minimum_metered, SelectedView, Selection,
 };
 pub use serve::{run_load, Client, LoadConfig, LoadReport, Server, ServerConfig, SnapshotCell};
 pub use snapshot::{AnswerTrace, BatchResult, EngineSnapshot, QueryOptions, QueryOutcome};

@@ -67,6 +67,7 @@ use xvr_xml::generator::{generate, Config};
 use xvr_xml::DeweyCode;
 
 use crate::engine::{AnswerError, Engine, EngineConfig, Strategy};
+use crate::metrics::StageCounters;
 use crate::snapshot::{AnswerTrace, EngineSnapshot, QueryOptions};
 
 /// Which property a violation breaches.
@@ -647,13 +648,14 @@ fn check_query(
         // strategy (the joins are selection-level, not strategy-level) and
         // pre-injection, like CacheDeterminism.
         if s == Strategy::Hv {
-            if let (Some(selection), _, _) = snap.lookup(q, s) {
-                let scan = crate::rewrite::rewrite_scan(
+            if let (Some(selection), _, _) = snap.lookup(q, s, &mut StageCounters::new()) {
+                let scan = crate::rewrite::rewrite_scan_metered(
                     q,
                     &selection,
                     snap.views(),
                     snap.store(),
                     &snap.doc().fst,
+                    &mut StageCounters::new(),
                 );
                 let same = match (&result, &scan) {
                     (Ok(a), Ok(b)) => &a.codes == b,
@@ -936,7 +938,7 @@ pub fn run_case(spec: &CaseSpec, cfg: &OracleConfig) -> CaseOutcome {
     engine_cfg.fragment_budget = budget;
     let mut engine = Engine::new(doc, engine_cfg);
     for v in views {
-        engine.add_view(v);
+        engine.add_view(v).expect("generated views fit the catalog");
     }
     let snap = engine.snapshot();
     let mut out = CaseOutcome::default();

@@ -29,8 +29,15 @@
 //! a galloping merge-intersection and memoized in the [`RewriteCache`] —
 //! so the `admissible` test inside pattern evaluation is a single bit
 //! probe. The legacy per-component scan-merge join is preserved verbatim as
-//! [`rewrite_scan`] and held byte-identical to the galloping join by the
-//! oracle's `JoinEquivalence` invariant and the join-differential tests.
+//! [`rewrite_scan_metered`] and held byte-identical to the galloping join
+//! by the oracle's `JoinEquivalence` invariant and the join-differential
+//! tests.
+//!
+//! Each join is one function taking the query's [`StageCounters`]:
+//! [`rewrite_metered`] (general, optionally cached),
+//! [`rewrite_intersect_metered`] (`HvIntersect` selections) and
+//! [`rewrite_scan_metered`] (the reference). Callers that keep no counters
+//! pass a scratch `&mut StageCounters::new()`.
 //!
 //! Together with the soundness of the leaf-cover rule (see
 //! [`crate::leafcover`]) this yields an *equivalent* rewriting: the output
@@ -84,59 +91,21 @@ impl std::error::Error for RewriteError {}
 /// Rewrite `q` using the selected views; returns the answer codes in
 /// document order.
 ///
-/// This is the uncached path: every call re-refines fragments and rebuilds
-/// the code prefix tree from scratch (the join itself still gallops over
-/// flat codes). The hot path used by [`crate::EngineSnapshot`] is
-/// [`rewrite_cached`]; the two are checked byte-identical by the
-/// determinism tests and the oracle's `CacheDeterminism` invariant, and
-/// both against the legacy scan join ([`rewrite_scan`]) by
-/// `JoinEquivalence`.
-pub fn rewrite(
-    q: &TreePattern,
-    selection: &Selection,
-    views: &ViewSet,
-    store: &MaterializedStore,
-    fst: &Fst,
-) -> Result<Vec<DeweyCode>, RewriteError> {
-    rewrite_impl(
-        q,
-        selection,
-        views,
-        store,
-        fst,
-        None,
-        &mut StageCounters::new(),
-    )
-}
-
-/// [`rewrite`] with a per-snapshot [`RewriteCache`]: refinement results,
-/// code prefix trees, restriction bitmaps, and single-unit chain verdicts
-/// are memoized across calls, so repeated query shapes skip the comparison
-/// work entirely.
-pub fn rewrite_cached(
-    q: &TreePattern,
-    selection: &Selection,
-    views: &ViewSet,
-    store: &MaterializedStore,
-    fst: &Fst,
-    cache: &RewriteCache,
-) -> Result<Vec<DeweyCode>, RewriteError> {
-    rewrite_impl(
-        q,
-        selection,
-        views,
-        store,
-        fst,
-        Some(cache),
-        &mut StageCounters::new(),
-    )
-}
-
-/// [`rewrite`] / [`rewrite_cached`] recording observability counters:
-/// cache hits/misses, fragments scanned during refinement, fast-path vs.
-/// holistic-join dispatch, and the flat-comparison work — comparisons,
-/// galloping probes, entries skipped, bytes compared (see
-/// [`crate::metrics`]). Pass `cache: None` for the uncached path.
+/// With `cache: Some(_)` — the hot path [`crate::EngineSnapshot`] takes —
+/// refinement results, code prefix trees, restriction bitmaps and
+/// single-unit chain verdicts are memoized in the snapshot's
+/// [`RewriteCache`] across calls, so repeated query shapes skip the
+/// comparison work entirely. With `cache: None` every call re-refines
+/// fragments and rebuilds the code prefix tree from scratch (the join
+/// itself still gallops over flat codes). The two are checked
+/// byte-identical by the determinism tests and the oracle's
+/// `CacheDeterminism` invariant, and both against the legacy scan join
+/// ([`rewrite_scan_metered`]) by `JoinEquivalence`.
+///
+/// Records cache hits/misses, fragments scanned during refinement,
+/// fast-path vs. holistic-join dispatch, and the flat-comparison work —
+/// comparisons, galloping probes, entries skipped, bytes compared (see
+/// [`crate::metrics`]).
 #[allow(clippy::too_many_arguments)]
 pub fn rewrite_metered(
     q: &TreePattern,
@@ -147,7 +116,15 @@ pub fn rewrite_metered(
     cache: Option<&RewriteCache>,
     counters: &mut StageCounters,
 ) -> Result<Vec<DeweyCode>, RewriteError> {
-    rewrite_impl(q, selection, views, store, fst, cache, counters)
+    let _ = views; // selection already carries everything pattern-level
+    counters.bump(Counter::RewriteRuns);
+    let mut stats = CmpStats::default();
+    let result = rewrite_gallop(q, selection, store, fst, cache, counters, &mut stats);
+    counters.add(Counter::RewriteDeweyComparisons, stats.comparisons);
+    counters.add(Counter::RewriteGallopProbes, stats.probes);
+    counters.add(Counter::RewriteComparisonsSkipped, stats.skipped);
+    counters.add(Counter::RewriteBytesCompared, stats.bytes);
+    result
 }
 
 /// Anchor-unit refinement: surviving fragment codes (flat, ascending by
@@ -536,27 +513,6 @@ fn intersect_bits(haystack: &FlatCodes, needles: &FlatCodes, stats: &mut CmpStat
     bits
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rewrite_impl(
-    q: &TreePattern,
-    selection: &Selection,
-    views: &ViewSet,
-    store: &MaterializedStore,
-    fst: &Fst,
-    cache: Option<&RewriteCache>,
-    counters: &mut StageCounters,
-) -> Result<Vec<DeweyCode>, RewriteError> {
-    let _ = views; // selection already carries everything pattern-level
-    counters.bump(Counter::RewriteRuns);
-    let mut stats = CmpStats::default();
-    let result = rewrite_gallop(q, selection, store, fst, cache, counters, &mut stats);
-    counters.add(Counter::RewriteDeweyComparisons, stats.comparisons);
-    counters.add(Counter::RewriteGallopProbes, stats.probes);
-    counters.add(Counter::RewriteComparisonsSkipped, stats.skipped);
-    counters.add(Counter::RewriteBytesCompared, stats.bytes);
-    result
-}
-
 /// The galloping flat-code rewrite (all three stages); `stats` collects
 /// the comparison work for the caller to fold into the counters.
 fn rewrite_gallop(
@@ -724,28 +680,10 @@ fn rewrite_gallop(
 /// [`Counter::IntersectComparisons`], [`Counter::IntersectGallopProbes`]);
 /// refinement and the chain evaluation report through the usual `rewrite.*`
 /// counters, so the marginal cost of intersecting is directly readable.
-pub fn rewrite_intersect(
-    q: &TreePattern,
-    selection: &Selection,
-    views: &ViewSet,
-    store: &MaterializedStore,
-    fst: &Fst,
-) -> Result<Vec<DeweyCode>, RewriteError> {
-    rewrite_intersect_metered(
-        q,
-        selection,
-        views,
-        store,
-        fst,
-        None,
-        &mut StageCounters::new(),
-    )
-}
-
-/// [`rewrite_intersect`] with optional refinement memoization through the
-/// snapshot's [`RewriteCache`] (the per-member refined code lists and the
-/// anchor's extraction pairs share the cache keys of the general rewriter)
-/// and observability counters.
+///
+/// With `cache: Some(_)` the per-member refined code lists and the
+/// anchor's extraction pairs are memoized through the snapshot's
+/// [`RewriteCache`], under the cache keys of the general rewriter.
 pub fn rewrite_intersect_metered(
     q: &TreePattern,
     selection: &Selection,
@@ -1005,23 +943,13 @@ fn bsearch_cost(len: usize) -> u64 {
 /// The legacy scan-merge holistic join, kept as an independent reference
 /// implementation for the galloping join: per-component [`DeweyCode`]
 /// comparators, hash-built prefix tree, a full binary search per candidate
-/// node and restriction list, no fast path and no memoization. Routed
-/// end-to-end by [`EngineConfig::scan_join`](crate::EngineConfig) and held
-/// byte-identical to [`rewrite`] / [`rewrite_cached`] by the oracle's
-/// `JoinEquivalence` invariant and the join-differential tests.
-pub fn rewrite_scan(
-    q: &TreePattern,
-    selection: &Selection,
-    views: &ViewSet,
-    store: &MaterializedStore,
-    fst: &Fst,
-) -> Result<Vec<DeweyCode>, RewriteError> {
-    rewrite_scan_metered(q, selection, views, store, fst, &mut StageCounters::new())
-}
-
-/// [`rewrite_scan`] recording observability counters (binary searches
-/// counted as `log2(len) + 1` Dewey comparisons, as the scan join always
-/// did; the galloping counters stay zero on this path).
+/// node and restriction list, no fast path and no memoization. Held
+/// byte-identical to [`rewrite_metered`], cached and uncached, by the
+/// oracle's `JoinEquivalence` invariant and the join-differential tests.
+///
+/// Binary searches are counted as `log2(len) + 1` Dewey comparisons, as
+/// the scan join always did; the galloping counters stay zero on this
+/// path.
 pub fn rewrite_scan_metered(
     q: &TreePattern,
     selection: &Selection,
@@ -1176,10 +1104,10 @@ fn scan_prefix_tree<'a, I: Iterator<Item = &'a DeweyCode>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::{build_nfa, filter_views};
+    use crate::filter::{build_nfa, filter_views_metered, FilterOptions};
     use crate::leafcover::Obligations;
     use crate::materialize::MaterializedStore;
-    use crate::select::{select_heuristic, select_minimum};
+    use crate::select::{select_heuristic_metered, select_minimum_metered};
     use crate::view::ViewSet;
     use xvr_pattern::{eval, parse_pattern_with};
     use xvr_xml::samples::book_document;
@@ -1199,6 +1127,7 @@ mod tests {
         qsrc: &str,
         heuristic: bool,
     ) -> Option<Vec<String>> {
+        let c = &mut StageCounters::new();
         let mut labels = doc.labels.clone();
         let mut views = ViewSet::new();
         for src in view_srcs {
@@ -1206,15 +1135,15 @@ mod tests {
         }
         let q = parse_pattern_with(qsrc, &mut labels).unwrap();
         let nfa = build_nfa(&views);
-        let filter = filter_views(&q, &views, &nfa);
+        let filter = filter_views_metered(&q, &views, &nfa, FilterOptions::default(), c);
         let ob = Obligations::of(&q);
         let selection = if heuristic {
-            select_heuristic(&q, &views, &filter, &ob)?
+            select_heuristic_metered(&q, &views, &filter, &ob, c)?
         } else {
-            select_minimum(&q, &views, &filter.candidates, &ob, 4)?
+            select_minimum_metered(&q, &views, &filter.candidates, &ob, 4, c)?
         };
         let store = MaterializedStore::materialize_all(doc, &views, usize::MAX);
-        let codes = rewrite(&q, &selection, &views, &store, &doc.fst).unwrap();
+        let codes = rewrite_metered(&q, &selection, &views, &store, &doc.fst, None, c).unwrap();
         Some(codes.into_iter().map(|c| c.to_string()).collect())
     }
 
@@ -1281,19 +1210,20 @@ mod tests {
 
     #[test]
     fn rewrite_errors_on_truncated_view() {
+        let c = &mut StageCounters::new();
         let doc = book_document();
         let mut labels = doc.labels.clone();
         let mut views = ViewSet::new();
         let q = parse_pattern_with("//s[t]/p", &mut labels).unwrap();
         views.add(q.clone());
         let nfa = build_nfa(&views);
-        let filter = filter_views(&q, &views, &nfa);
+        let filter = filter_views_metered(&q, &views, &nfa, FilterOptions::default(), c);
         let ob = Obligations::of(&q);
-        let selection = select_heuristic(&q, &views, &filter, &ob).unwrap();
+        let selection = select_heuristic_metered(&q, &views, &filter, &ob, c).unwrap();
         let store = MaterializedStore::materialize_all(&doc, &views, 60);
-        let err = rewrite(&q, &selection, &views, &store, &doc.fst).unwrap_err();
+        let err = rewrite_metered(&q, &selection, &views, &store, &doc.fst, None, c).unwrap_err();
         assert!(matches!(err, RewriteError::IncompleteMaterialization(_)));
-        let err = rewrite_scan(&q, &selection, &views, &store, &doc.fst).unwrap_err();
+        let err = rewrite_scan_metered(&q, &selection, &views, &store, &doc.fst, c).unwrap_err();
         assert!(matches!(err, RewriteError::IncompleteMaterialization(_)));
     }
 
@@ -1304,6 +1234,7 @@ mod tests {
         view_srcs: &[&str],
         qsrc: &str,
     ) -> Option<(TreePattern, Selection, ViewSet, MaterializedStore)> {
+        let c = &mut StageCounters::new();
         let mut labels = doc.labels.clone();
         let mut views = ViewSet::new();
         for src in view_srcs {
@@ -1311,9 +1242,9 @@ mod tests {
         }
         let q = parse_pattern_with(qsrc, &mut labels).unwrap();
         let nfa = build_nfa(&views);
-        let filter = filter_views(&q, &views, &nfa);
+        let filter = filter_views_metered(&q, &views, &nfa, FilterOptions::default(), c);
         let ob = Obligations::of(&q);
-        let selection = select_heuristic(&q, &views, &filter, &ob)?;
+        let selection = select_heuristic_metered(&q, &views, &filter, &ob, c)?;
         let store = MaterializedStore::materialize_all(doc, &views, usize::MAX);
         Some((q, selection, views, store))
     }
@@ -1332,6 +1263,7 @@ mod tests {
 
     #[test]
     fn cached_rewrite_is_byte_identical_to_uncached() {
+        let c = &mut StageCounters::new();
         let doc = book_document();
         let mut memoized_anchors = false;
         let mut memoized_chains = false;
@@ -1343,10 +1275,11 @@ mod tests {
             // only meaningful within one snapshot's `ViewSet` (each case
             // here builds its own).
             let cache = RewriteCache::new();
-            let want = rewrite(&q, &sel, &views, &store, &doc.fst).unwrap();
+            let want = rewrite_metered(&q, &sel, &views, &store, &doc.fst, None, c).unwrap();
             // Cold and warm cache must both reproduce the reference.
             for pass in 0..2 {
-                let got = rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap();
+                let got =
+                    rewrite_metered(&q, &sel, &views, &store, &doc.fst, Some(&cache), c).unwrap();
                 assert_eq!(got, want, "{qsrc} (pass {pass})");
             }
             memoized_anchors |= !cache.anchors.read().unwrap().is_empty();
@@ -1360,6 +1293,7 @@ mod tests {
 
     #[test]
     fn galloping_join_matches_scan_join() {
+        let c = &mut StageCounters::new();
         // The join differential at the unit level: legacy scan-merge vs.
         // galloping flat-code join, uncached and cached, cold and warm.
         let doc = book_document();
@@ -1368,11 +1302,12 @@ mod tests {
                 panic!("{qsrc}: expected answerable");
             };
             let cache = RewriteCache::new();
-            let scan = rewrite_scan(&q, &sel, &views, &store, &doc.fst).unwrap();
-            let gallop = rewrite(&q, &sel, &views, &store, &doc.fst).unwrap();
+            let scan = rewrite_scan_metered(&q, &sel, &views, &store, &doc.fst, c).unwrap();
+            let gallop = rewrite_metered(&q, &sel, &views, &store, &doc.fst, None, c).unwrap();
             assert_eq!(scan, gallop, "{qsrc} (uncached)");
             for pass in 0..2 {
-                let cached = rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap();
+                let cached =
+                    rewrite_metered(&q, &sel, &views, &store, &doc.fst, Some(&cache), c).unwrap();
                 assert_eq!(scan, cached, "{qsrc} (cached pass {pass})");
             }
         }
@@ -1400,14 +1335,18 @@ mod tests {
 
     #[test]
     fn chain_fast_path_respects_root_anchoring() {
+        let c = &mut StageCounters::new();
         let doc = book_document();
         let cache = RewriteCache::new();
         // `/s` never matches (document element is b) even though the `//s`
         // view has fragments everywhere — the chain must pin `/` roots to
         // position 0 of the decoded path.
         let (q, sel, views, store) = pipeline(&doc, &["//s"], "/s").unwrap();
-        let got = rewrite_cached(&q, &sel, &views, &store, &doc.fst, &cache).unwrap();
-        assert_eq!(got, rewrite(&q, &sel, &views, &store, &doc.fst).unwrap());
+        let got = rewrite_metered(&q, &sel, &views, &store, &doc.fst, Some(&cache), c).unwrap();
+        assert_eq!(
+            got,
+            rewrite_metered(&q, &sel, &views, &store, &doc.fst, None, c).unwrap()
+        );
         assert!(got.is_empty());
     }
 

@@ -1,16 +1,24 @@
 //! Multiple-view selection (Section IV-B).
 //!
-//! * [`select_minimum`] — the paper's exhaustive "minimum rewriting": try
-//!   view subsets in increasing cardinality until one satisfies the
-//!   answerability criterion. Worst case `O(2^|V|)`; we cap the subset size
-//!   (the paper's own queries need ≤ 3 views) and bail out beyond it.
-//! * [`select_heuristic`] — Algorithm 2: repeatedly pick an uncovered leaf,
-//!   walk the leaf's `LIST(P)` (sorted by containing-path length, so the
-//!   compensating query runs over the *smallest* fragments first), select
-//!   the first view that covers the leaf, and finally drop redundant views.
-//!   The result is a *minimal* (not necessarily minimum) set.
+//! * [`select_minimum_metered`] — the paper's exhaustive "minimum
+//!   rewriting": try view subsets in increasing cardinality until one
+//!   satisfies the answerability criterion. Worst case `O(2^|V|)`; we cap
+//!   the subset size (the paper's own queries need ≤ 3 views) and bail out
+//!   beyond it.
+//! * [`select_heuristic_metered`] — Algorithm 2: repeatedly pick an
+//!   uncovered leaf, walk the leaf's `LIST(P)` (sorted by containing-path
+//!   length, so the compensating query runs over the *smallest* fragments
+//!   first), select the first view that covers the leaf, and finally drop
+//!   redundant views. The result is a *minimal* (not necessarily minimum)
+//!   set.
 //!
-//! Both return a [`Selection`]: one or more `(view, m)` units — the same
+//! [`select_cost_based_metered`] (the paper's omitted cost model) and
+//! [`select_intersection_metered`] (the `HvIntersect` fallback) complete
+//! the stage. Each is the one function for its strategy and takes the
+//! query's [`StageCounters`]; callers that keep no counters pass a scratch
+//! `&mut StageCounters::new()`.
+//!
+//! All return a [`Selection`]: one or more `(view, m)` units — the same
 //! view may be joined at several query positions — with a designated
 //! *anchor* unit whose `m` is an ancestor-or-self of the query's answer
 //! node (the `Δ` obligation), from whose fragments the result is extracted.
@@ -43,7 +51,7 @@ pub struct Selection {
     /// `true` for a selection produced by [`select_intersection_metered`]:
     /// every unit binds `m = RET(Q)` and the rewriting must intersect the
     /// units' refined fragment-root sets
-    /// ([`crate::rewrite::rewrite_intersect`]) instead of running the
+    /// ([`crate::rewrite::rewrite_intersect_metered`]) instead of running the
     /// general holistic join.
     pub intersection: bool,
 }
@@ -135,26 +143,8 @@ fn covers_of(
 /// Tries subsets in increasing cardinality up to `max_views`; within a
 /// chosen subset every `(view, m)` unit of its views participates (the
 /// redundancy pass then trims unused units). Returns `None` when no subset
-/// within the cap answers the query.
-pub fn select_minimum(
-    q: &TreePattern,
-    views: &ViewSet,
-    candidates: &[ViewId],
-    obligations: &Obligations,
-    max_views: usize,
-) -> Option<Selection> {
-    select_minimum_metered(
-        q,
-        views,
-        candidates,
-        obligations,
-        max_views,
-        &mut StageCounters::new(),
-    )
-}
-
-/// [`select_minimum`] recording observability counters (leaf-cover
-/// attempts, subsets tried).
+/// within the cap answers the query. Records leaf-cover attempts and
+/// subsets tried in `counters`.
 pub fn select_minimum_metered(
     q: &TreePattern,
     views: &ViewSet,
@@ -246,26 +236,7 @@ fn for_each_combination(n: usize, k: usize, f: &mut dyn FnMut(&[usize])) {
 /// first. `fragment_bytes` is typically the materialized size from the
 /// store; `view_overhead` trades off "fewer views" (the minimum
 /// objective) against "smaller fragments" (the heuristic's objective).
-pub fn select_cost_based(
-    q: &TreePattern,
-    views: &ViewSet,
-    candidates: &[ViewId],
-    obligations: &Obligations,
-    fragment_bytes: &dyn Fn(ViewId) -> usize,
-    view_overhead: usize,
-) -> Option<Selection> {
-    select_cost_based_metered(
-        q,
-        views,
-        candidates,
-        obligations,
-        fragment_bytes,
-        view_overhead,
-        &mut StageCounters::new(),
-    )
-}
-
-/// [`select_cost_based`] recording observability counters.
+/// Records leaf-cover attempts in `counters`.
 #[allow(clippy::too_many_arguments)]
 pub fn select_cost_based_metered(
     q: &TreePattern,
@@ -357,18 +328,8 @@ pub fn select_cost_based_metered(
 }
 
 /// Algorithm 2: heuristic minimal selection driven by the filter's sorted
-/// lists.
-pub fn select_heuristic(
-    q: &TreePattern,
-    views: &ViewSet,
-    filter: &FilterOutcome,
-    obligations: &Obligations,
-) -> Option<Selection> {
-    select_heuristic_metered(q, views, filter, obligations, &mut StageCounters::new())
-}
-
-/// [`select_heuristic`] recording observability counters (leaf-cover
-/// attempts, probes that fell back past `LIST(P)`).
+/// lists. Records leaf-cover attempts and probes that fell back past
+/// `LIST(P)` in `counters`.
 pub fn select_heuristic_metered(
     q: &TreePattern,
     views: &ViewSet,
@@ -481,18 +442,8 @@ pub fn select_heuristic_metered(
 /// the returned selection bind the answer node, so the rewriting intersects
 /// their refined fragment-root sets; completeness holds because each member
 /// contains the query at the answer position, soundness because every
-/// coverage claim is pinned to the shared binding.
-pub fn select_intersection(
-    q: &TreePattern,
-    views: &ViewSet,
-    candidates: &[ViewId],
-    obligations: &Obligations,
-) -> Option<Selection> {
-    select_intersection_metered(q, views, candidates, obligations, &mut StageCounters::new())
-}
-
-/// [`select_intersection`] recording observability counters
-/// (`intersect.attempts`, `intersect.subsets_tried`).
+/// coverage claim is pinned to the shared binding. Records
+/// `intersect.attempts` and `intersect.subsets_tried` in `counters`.
 pub fn select_intersection_metered(
     q: &TreePattern,
     views: &ViewSet,
@@ -555,7 +506,7 @@ pub fn select_intersection_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::{build_nfa, filter_views};
+    use crate::filter::{build_nfa, filter_views_metered, FilterOptions};
     use xvr_pattern::parse_pattern_with;
     use xvr_xml::LabelTable;
 
@@ -567,66 +518,78 @@ mod tests {
         }
         let q = parse_pattern_with(qsrc, &mut labels).unwrap();
         let nfa = build_nfa(&views);
-        let filter = filter_views(&q, &views, &nfa);
+        let filter = filter_views_metered(
+            &q,
+            &views,
+            &nfa,
+            FilterOptions::default(),
+            &mut StageCounters::new(),
+        );
         let ob = Obligations::of(&q);
         (views, q, filter, ob)
     }
 
     #[test]
     fn example_4_3_heuristic() {
+        let c = &mut StageCounters::new();
         // Candidates {V1, V4} for Q_e = s[f//i][t]/p; Algorithm 2 returns
         // both (V1 anchors, V4 covers i).
         let (views, q, filter, ob) = setup(&["/s[t]/p", "/s[p]/f"], "/s[f//i][t]/p");
-        let sel = select_heuristic(&q, &views, &filter, &ob).expect("answerable");
+        let sel = select_heuristic_metered(&q, &views, &filter, &ob, c).expect("answerable");
         assert_eq!(sel.view_ids(), vec![ViewId(0), ViewId(1)]);
         assert!(sel.units[sel.anchor].cover.covers_answer);
     }
 
     #[test]
     fn single_view_selection() {
+        let c = &mut StageCounters::new();
         let (views, q, filter, ob) = setup(&["/s[t][f//i]/p"], "/s[f//i][t]/p");
-        let sel = select_heuristic(&q, &views, &filter, &ob).expect("answerable");
+        let sel = select_heuristic_metered(&q, &views, &filter, &ob, c).expect("answerable");
         assert_eq!(sel.view_ids(), vec![ViewId(0)]);
-        let sel_min = select_minimum(&q, &views, &filter.candidates, &ob, 4).unwrap();
+        let sel_min = select_minimum_metered(&q, &views, &filter.candidates, &ob, 4, c).unwrap();
         assert_eq!(sel_min.view_ids(), vec![ViewId(0)]);
     }
 
     #[test]
     fn minimum_is_no_larger_than_heuristic() {
+        let c = &mut StageCounters::new();
         let (views, q, filter, ob) = setup(
             &["/s[t]/p", "/s[p]/f", "/s[t][f//i]/p", "//s//p"],
             "/s[f//i][t]/p",
         );
-        let h = select_heuristic(&q, &views, &filter, &ob).unwrap();
-        let m = select_minimum(&q, &views, &filter.candidates, &ob, 4).unwrap();
+        let h = select_heuristic_metered(&q, &views, &filter, &ob, c).unwrap();
+        let m = select_minimum_metered(&q, &views, &filter.candidates, &ob, 4, c).unwrap();
         assert!(m.view_ids().len() <= h.view_ids().len());
         assert_eq!(m.view_ids().len(), 1); // the exact view answers alone
     }
 
     #[test]
     fn unanswerable_returns_none() {
+        let c = &mut StageCounters::new();
         // No view covers the f//i branch.
         let (views, q, filter, ob) = setup(&["/s[t]/p", "//s//p"], "/s[f//i][t]/p");
-        assert!(select_heuristic(&q, &views, &filter, &ob).is_none());
-        assert!(select_minimum(&q, &views, &filter.candidates, &ob, 4).is_none());
+        assert!(select_heuristic_metered(&q, &views, &filter, &ob, c).is_none());
+        assert!(select_minimum_metered(&q, &views, &filter.candidates, &ob, 4, c).is_none());
     }
 
     #[test]
     fn anchor_required() {
+        let c = &mut StageCounters::new();
         // Views cover all leaves but none can extract the answer p.
         let (views, q, filter, ob) = setup(&["/s/t", "/s[t][p]/f"], "/s[t]/p");
         // /s/t covers t; /s[t][p]/f covers... its answers bind to f; p is a
         // sibling branch — may cover p but Δ never holds.
-        assert!(select_heuristic(&q, &views, &filter, &ob).is_none());
-        assert!(select_minimum(&q, &views, &filter.candidates, &ob, 4).is_none());
+        assert!(select_heuristic_metered(&q, &views, &filter, &ob, c).is_none());
+        assert!(select_minimum_metered(&q, &views, &filter.candidates, &ob, 4, c).is_none());
     }
 
     #[test]
     fn heuristic_is_minimal() {
+        let c = &mut StageCounters::new();
         // Redundancy pass: the exact-match view makes the others redundant.
         let (views, q, filter, ob) =
             setup(&["/s[t]/p", "/s[f//i][t]/p", "/s[p]/f"], "/s[f//i][t]/p");
-        let sel = select_heuristic(&q, &views, &filter, &ob).unwrap();
+        let sel = select_heuristic_metered(&q, &views, &filter, &ob, c).unwrap();
         // Whatever was picked, no proper subset of the units may cover.
         for skip in 0..sel.units.len() {
             let subset: Vec<&SelectedView> = sel
@@ -642,26 +605,30 @@ mod tests {
 
     #[test]
     fn same_view_joined_at_two_positions() {
+        let c = &mut StageCounters::new();
         // One view (//s/p) serves both the branch p and the answer p.
         let (views, q, filter, ob) = setup(&["//s/p"], "/s[s/p]/s/p");
-        let sel = select_minimum(&q, &views, &filter.candidates, &ob, 2).expect("answerable");
+        let sel =
+            select_minimum_metered(&q, &views, &filter.candidates, &ob, 2, c).expect("answerable");
         assert_eq!(sel.view_ids(), vec![ViewId(0)]);
         assert!(!sel.units.is_empty());
     }
 
     #[test]
     fn cost_based_prefers_small_fragments() {
+        let c = &mut StageCounters::new();
         // Two views answer alone; the cost model must pick the cheaper one.
         let (views, q, filter, ob) =
             setup(&["/s[f//i][t]/p", "//*[.//i][.//t]//p"], "/s[f//i][t]/p");
         let sizes = [100usize, 1_000_000usize];
-        let sel = select_cost_based(
+        let sel = select_cost_based_metered(
             &q,
             &views,
             &filter.candidates,
             &ob,
             &|v| sizes[v.index()],
             1024,
+            c,
         )
         .expect("answerable");
         assert_eq!(sel.view_ids(), vec![ViewId(0)]);
@@ -669,29 +636,32 @@ mod tests {
 
     #[test]
     fn cost_based_overhead_trades_views_for_bytes() {
+        let c = &mut StageCounters::new();
         // Either one big exact view, or two tiny partial views.
         let (views, q, filter, ob) =
             setup(&["/s[f//i][t]/p", "/s[t]/p", "/s[p]/f"], "/s[f//i][t]/p");
         let sizes = [10_000usize, 10usize, 10usize];
         // Low per-view overhead: the two tiny views win.
-        let cheap = select_cost_based(
+        let cheap = select_cost_based_metered(
             &q,
             &views,
             &filter.candidates,
             &ob,
             &|v| sizes[v.index()],
             1,
+            c,
         )
         .expect("answerable");
         assert_eq!(cheap.view_ids(), vec![ViewId(1), ViewId(2)]);
         // Huge per-view overhead: fewer views win despite the bytes.
-        let few = select_cost_based(
+        let few = select_cost_based_metered(
             &q,
             &views,
             &filter.candidates,
             &ob,
             &|v| sizes[v.index()],
             1_000_000,
+            c,
         )
         .expect("answerable");
         assert_eq!(few.view_ids(), vec![ViewId(0)]);
@@ -699,20 +669,25 @@ mod tests {
 
     #[test]
     fn cost_based_agrees_on_answerability() {
+        let c = &mut StageCounters::new();
         let (views, q, filter, ob) = setup(&["/s[t]/p", "//s//p"], "/s[f//i][t]/p");
-        assert!(select_heuristic(&q, &views, &filter, &ob).is_none());
-        assert!(select_cost_based(&q, &views, &filter.candidates, &ob, &|_| 1, 1).is_none());
+        assert!(select_heuristic_metered(&q, &views, &filter, &ob, c).is_none());
+        assert!(
+            select_cost_based_metered(&q, &views, &filter.candidates, &ob, &|_| 1, 1, c).is_none()
+        );
     }
 
     #[test]
     fn intersection_selection_recovers_heuristic_miss() {
+        let c = &mut StageCounters::new();
         // Neither view covers the other's branch under the composable rule
         // (descendant edge b → c defeats suffix pinning), so every
         // per-obligation strategy fails; the intersection pair succeeds.
         let (views, q, filter, ob) = setup(&["/a/b[x]//c", "/a/b[y]//c"], "/a/b[x][y]//c");
-        assert!(select_heuristic(&q, &views, &filter, &ob).is_none());
-        assert!(select_minimum(&q, &views, &filter.candidates, &ob, 4).is_none());
-        let sel = select_intersection(&q, &views, &filter.candidates, &ob).expect("answerable");
+        assert!(select_heuristic_metered(&q, &views, &filter, &ob, c).is_none());
+        assert!(select_minimum_metered(&q, &views, &filter.candidates, &ob, 4, c).is_none());
+        let sel = select_intersection_metered(&q, &views, &filter.candidates, &ob, c)
+            .expect("answerable");
         assert!(sel.intersection);
         assert_eq!(sel.view_ids(), vec![ViewId(0), ViewId(1)]);
         assert_eq!(sel.units.len(), 2);
@@ -722,32 +697,36 @@ mod tests {
 
     #[test]
     fn intersection_selection_size_three() {
+        let c = &mut StageCounters::new();
         let (views, q, filter, ob) = setup(
             &["/a/b[x]//c", "/a/b[y]//c", "/a/b[z]//c"],
             "/a/b[x][y][z]//c",
         );
-        assert!(select_heuristic(&q, &views, &filter, &ob).is_none());
-        let sel = select_intersection(&q, &views, &filter.candidates, &ob).expect("answerable");
+        assert!(select_heuristic_metered(&q, &views, &filter, &ob, c).is_none());
+        let sel = select_intersection_metered(&q, &views, &filter.candidates, &ob, c)
+            .expect("answerable");
         assert_eq!(sel.units.len(), 3);
         assert!(sel.intersection);
     }
 
     #[test]
     fn intersection_selection_rejects_uncoverable() {
+        let c = &mut StageCounters::new();
         // The y branch is guaranteed by no member: unanswerable.
         let (views, q, filter, ob) = setup(&["/a/b[x]//c", "/a/b//c"], "/a/b[x][y]//c");
-        assert!(select_intersection(&q, &views, &filter.candidates, &ob).is_none());
+        assert!(select_intersection_metered(&q, &views, &filter.candidates, &ob, c).is_none());
         // An unpinned query prefix (descendant to b) is also rejected.
         let (views2, q2, filter2, ob2) = setup(&["//b[x]//c", "//b[y]//c"], "//b[x][y]//c");
-        assert!(select_intersection(&q2, &views2, &filter2.candidates, &ob2).is_none());
+        assert!(select_intersection_metered(&q2, &views2, &filter2.candidates, &ob2, c).is_none());
     }
 
     #[test]
     fn minimum_respects_cap() {
+        let c = &mut StageCounters::new();
         let (views, q, filter, ob) = setup(&["/s/t", "/s/p", "/s//f//i"], "/s[f//i][t]/p");
         // Needs 3 views; cap 2 must fail, cap 3 succeed (if answerable).
-        let capped = select_minimum(&q, &views, &filter.candidates, &ob, 2);
-        let full = select_minimum(&q, &views, &filter.candidates, &ob, 3);
+        let capped = select_minimum_metered(&q, &views, &filter.candidates, &ob, 2, c);
+        let full = select_minimum_metered(&q, &views, &filter.candidates, &ob, 3, c);
         if let Some(sel) = &full {
             assert_eq!(sel.view_ids().len(), 3);
             assert!(capped.is_none());

@@ -5,11 +5,12 @@
 //! appends, label-table growth); [`EngineSnapshot`] freezes the engine's
 //! state — document, indexes, view catalog, materializations, and the
 //! VFILTER automaton, all behind [`Arc`]s — and exposes the full query
-//! pipeline (`parse`, `filter`, `lookup`, `explain`, `query`). Because
-//! the paper's pipeline is per-query pure once views are materialized,
-//! every snapshot method takes `&self`, so one snapshot can serve any
-//! number of threads concurrently; [`EngineSnapshot::query_batch`] does
-//! exactly that with scoped worker threads.
+//! pipeline (`parse`, `filter`, `lookup`, `explain`, `query`); the writer
+//! has no read methods of its own. Because the paper's pipeline is
+//! per-query pure once views are materialized, every snapshot method takes
+//! `&self`, so one snapshot can serve any number of threads concurrently;
+//! [`EngineSnapshot::query_batch`] does exactly that with scoped worker
+//! threads.
 //!
 //! Answering goes through the single entry point
 //! [`EngineSnapshot::query`]: [`QueryOptions`] pick the strategy, cache
@@ -46,9 +47,7 @@ use crate::leafcover::Obligations;
 use crate::materialize::MaterializedStore;
 use crate::metrics::{Counter, QueryReport, SnapshotMetrics, StageCounters};
 use crate::nfa::Nfa;
-use crate::rewrite::{
-    rewrite_intersect_metered, rewrite_metered, rewrite_scan_metered, RewriteCache,
-};
+use crate::rewrite::{rewrite_intersect_metered, rewrite_metered, RewriteCache};
 use crate::select::{
     select_cost_based_metered, select_heuristic_metered, select_intersection_metered,
     select_minimum_metered, Selection,
@@ -134,10 +133,8 @@ impl AnswerTrace {
 pub struct QueryOptions {
     /// Evaluation strategy.
     pub strategy: Strategy,
-    /// Use the snapshot's [`RewriteCache`] (view strategies only).
-    /// Effective only when the snapshot was frozen with
-    /// [`EngineConfig::rewrite_cache`] enabled; `false` forces the
-    /// uncached reference rewriter either way. Defaults to `true`.
+    /// Use the snapshot's [`RewriteCache`] (view strategies only);
+    /// `false` forces the uncached reference rewriter. Defaults to `true`.
     pub use_cache: bool,
     /// Return the [`AnswerTrace`] in the report. Defaults to `false`.
     pub collect_trace: bool,
@@ -311,23 +308,12 @@ impl EngineSnapshot {
         &self.metrics
     }
 
-    /// Run selection only — filter (unless `Mn`) plus view-set search.
-    /// Returns the selection and the timings of both stages (Figure 9's
-    /// "lookup").
+    /// Run selection only — filter (unless `Mn`) plus view-set search,
+    /// recording into `counters`. Returns the selection, the timings of
+    /// both stages (Figure 9's "lookup"), and the usable candidates: the
+    /// filter survivors (every view for `Mn`) with a complete
+    /// materialization.
     pub fn lookup(
-        &self,
-        q: &TreePattern,
-        strategy: Strategy,
-    ) -> (Option<Selection>, StageTimings, usize) {
-        let (selection, timings, usable) =
-            self.lookup_metered(q, strategy, &mut StageCounters::new());
-        (selection, timings, usable.len())
-    }
-
-    /// [`Self::lookup`] returning the usable candidate list itself rather
-    /// than its size (the oracle's trace needs the ids), recording
-    /// observability counters.
-    fn lookup_metered(
         &self,
         q: &TreePattern,
         strategy: Strategy,
@@ -410,7 +396,7 @@ impl EngineSnapshot {
             !matches!(strategy, Strategy::Bn | Strategy::Bf),
             "explain applies to view strategies"
         );
-        let (selection, _, candidates) = self.lookup(q, strategy);
+        let (selection, _, candidates) = self.lookup(q, strategy, &mut StageCounters::new());
         let selection = selection.ok_or(AnswerError::NotAnswerable)?;
         Ok(crate::explain::explain_selection(
             strategy,
@@ -419,7 +405,7 @@ impl EngineSnapshot {
             &self.views,
             &self.store,
             &self.labels,
-            candidates,
+            candidates.len(),
         ))
     }
 
@@ -439,12 +425,9 @@ impl EngineSnapshot {
     /// and no counter is recorded anywhere: the only residue of the
     /// observability layer is stack-local integer additions.
     pub fn query(&self, q: &TreePattern, options: &QueryOptions) -> QueryOutcome {
-        // `use_cache` opt-out composes with the construction-time switch:
-        // either one off means the uncached reference rewriter runs.
-        let use_cache = options.use_cache && self.config.rewrite_cache;
         let mut counters = StageCounters::new();
         let (answer, trace, timings) =
-            self.run_pipeline(q, options.strategy, use_cache, &mut counters);
+            self.run_pipeline(q, options.strategy, options.use_cache, &mut counters);
         if options.collect_metrics {
             self.metrics.record(answer.is_ok(), &timings, &counters);
         }
@@ -494,7 +477,7 @@ impl EngineSnapshot {
                 (Ok(answer), AnswerTrace::default(), timings)
             }
             Strategy::Mn | Strategy::Mv | Strategy::Hv | Strategy::Cb | Strategy::HvIntersect => {
-                let (selection, mut timings, usable) = self.lookup_metered(q, strategy, counters);
+                let (selection, mut timings, usable) = self.lookup(q, strategy, counters);
                 let mut trace = AnswerTrace {
                     usable,
                     units: Vec::new(),
@@ -513,26 +496,17 @@ impl EngineSnapshot {
                 counters.add(Counter::SelectViews, selection.view_ids().len() as u64);
                 let candidates = trace.usable.len();
                 let t0 = Instant::now();
+                let cache = use_cache.then_some(self.rewrite_cache.as_ref());
                 let result = if selection.intersection {
                     // Intersection selections join by set intersection of
-                    // same-`m` units; the scan-join switch does not apply
-                    // (there is no legacy scan variant of this join).
+                    // same-`m` units.
                     rewrite_intersect_metered(
                         q,
                         &selection,
                         &self.views,
                         &self.store,
                         &self.doc.fst,
-                        use_cache.then_some(self.rewrite_cache.as_ref()),
-                        counters,
-                    )
-                } else if self.config.scan_join {
-                    rewrite_scan_metered(
-                        q,
-                        &selection,
-                        &self.views,
-                        &self.store,
-                        &self.doc.fst,
+                        cache,
                         counters,
                     )
                 } else {
@@ -542,7 +516,7 @@ impl EngineSnapshot {
                         &self.views,
                         &self.store,
                         &self.doc.fst,
-                        use_cache.then_some(self.rewrite_cache.as_ref()),
+                        cache,
                         counters,
                     )
                 };
@@ -668,7 +642,14 @@ mod tests {
         let q = e.parse("//s[f//i][t]/p").unwrap();
         let snap = e.snapshot();
         for strategy in Strategy::all_extended() {
-            let want = e.answer(&q, strategy).unwrap().codes;
+            // A fresh snapshot per query (cold cache) against the shared,
+            // warming one.
+            let want = e
+                .snapshot()
+                .query(&q, &QueryOptions::strategy(strategy))
+                .answer
+                .unwrap()
+                .codes;
             let got = snap
                 .query(&q, &QueryOptions::strategy(strategy))
                 .answer
@@ -685,8 +666,13 @@ mod tests {
         let snap = e.snapshot();
         let before_views = snap.views().len();
         e.add_view_str("//s[p]/f").unwrap();
-        let code = e
-            .answer(&e.snapshot().parse("/b/s").unwrap(), Strategy::Bn)
+        let now = e.snapshot();
+        let code = now
+            .query(
+                &now.parse("/b/s").unwrap(),
+                &QueryOptions::strategy(Strategy::Bn),
+            )
+            .answer
             .unwrap()
             .codes[0]
             .clone();
@@ -725,7 +711,6 @@ mod tests {
     #[test]
     fn cached_answers_byte_identical_to_uncached_across_strategies() {
         let snap = snapshot_with_views(&["//s[t]/p", "//s[p]/f", "//s//p", "//s[.//i]", "//*[i]"]);
-        assert!(snap.config().rewrite_cache, "cache on by default");
         let queries = [
             "//s[f//i][t]/p",
             "//s[t]/p",

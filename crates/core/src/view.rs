@@ -4,6 +4,10 @@
 use xvr_pattern::decompose::Decomposition;
 use xvr_pattern::{decompose, minimize, normalize, PathPattern, TreePattern};
 
+/// Most distinct root-to-leaf paths a view may have: VFILTER records the
+/// matched paths of a view as bits of one `u64`.
+pub const MAX_VIEW_PATHS: usize = 64;
+
 /// Identifier of a view within a [`ViewSet`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ViewId(pub u32);
@@ -52,14 +56,26 @@ impl ViewSet {
     }
 
     /// Register a view pattern; it is minimized first (Section II).
+    ///
+    /// Panics when the minimized pattern has more than [`MAX_VIEW_PATHS`]
+    /// root-to-leaf paths; [`crate::Engine::add_view`] reports that as an
+    /// input error instead.
     pub fn add(&mut self, pattern: TreePattern) -> ViewId {
+        self.try_add(pattern).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::add`], returning the path-count violation as a message
+    /// and leaving the catalog unchanged.
+    pub(crate) fn try_add(&mut self, pattern: TreePattern) -> Result<ViewId, String> {
         let id = ViewId(self.views.len() as u32);
         let pattern = minimize(&pattern);
         let decomposition = decompose(&pattern);
-        assert!(
-            decomposition.len() <= 64,
-            "view patterns are limited to 64 distinct root-to-leaf paths"
-        );
+        if decomposition.len() > MAX_VIEW_PATHS {
+            return Err(format!(
+                "{} distinct root-to-leaf paths; a view may have at most {MAX_VIEW_PATHS}",
+                decomposition.len()
+            ));
+        }
         let normalized_paths = decomposition.paths.iter().map(normalize).collect();
         let path_attr_masks = decomposition.attr_required_masks.clone();
         self.views.push(View {
@@ -69,7 +85,7 @@ impl ViewSet {
             normalized_paths,
             path_attr_masks,
         });
-        id
+        Ok(id)
     }
 
     /// Number of registered views.

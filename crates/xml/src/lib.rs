@@ -29,7 +29,6 @@ pub mod index;
 pub mod label;
 pub mod packed;
 pub mod parser;
-pub mod region;
 pub mod samples;
 pub mod serializer;
 pub mod stats;
@@ -44,7 +43,6 @@ pub use index::{NodeIndex, PathIndex};
 pub use label::{Label, LabelTable};
 pub use packed::PackedCodes;
 pub use parser::parse_document;
-pub use region::{Region, RegionEncoding};
 pub use serializer::serialize;
 pub use stats::DocStats;
 pub use tree::{CodeStability, Document, NodeId, XmlTree};

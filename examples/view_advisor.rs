@@ -8,10 +8,10 @@
 
 use std::time::Instant;
 
-use xvr_core::filter::build_nfa;
+use xvr_core::filter::{build_nfa, filter_views_metered, FilterOptions};
 use xvr_core::leafcover::Obligations;
-use xvr_core::select::{select_heuristic, select_minimum};
-use xvr_core::ViewSet;
+use xvr_core::select::{select_heuristic_metered, select_minimum_metered};
+use xvr_core::{StageCounters, ViewSet};
 use xvr_pattern::generator::QueryConfig;
 use xvr_pattern::{distinct_patterns, exists_hom, parse_pattern_in};
 use xvr_xml::generator::{generate, Config};
@@ -50,8 +50,10 @@ fn main() {
         // Read-only parse against the document's frozen label table —
         // unknown names would resolve to fresh non-matching labels.
         let q = parse_pattern_in(src, &doc.labels).unwrap();
+        let mut counters = StageCounters::new();
         let t0 = Instant::now();
-        let outcome = xvr_core::filter_views(&q, &views, &nfa);
+        let outcome =
+            filter_views_metered(&q, &views, &nfa, FilterOptions::default(), &mut counters);
         let filter_us = t0.elapsed().as_micros();
         // Ground truth: views with a homomorphism into the query.
         let v_q = views.iter().filter(|v| exists_hom(&v.pattern, &q)).count();
@@ -69,7 +71,7 @@ fn main() {
             }
         );
         let ob = Obligations::of(&q);
-        match select_heuristic(&q, &views, &outcome, &ob) {
+        match select_heuristic_metered(&q, &views, &outcome, &ob, &mut counters) {
             Some(sel) => {
                 println!(
                     "  heuristic selection: {} view(s): {}",
@@ -80,7 +82,9 @@ fn main() {
                         .collect::<Vec<_>>()
                         .join("  +  ")
                 );
-                if let Some(min) = select_minimum(&q, &views, &outcome.candidates, &ob, 3) {
+                let min =
+                    select_minimum_metered(&q, &views, &outcome.candidates, &ob, 3, &mut counters);
+                if let Some(min) = min {
                     println!("  minimum selection:   {} view(s)", min.view_ids().len());
                 }
             }

@@ -2,7 +2,7 @@
 //! generated XMark-like documents, cross-checking every strategy against
 //! direct evaluation.
 
-use xvr_core::{AnswerError, Engine, EngineConfig, Strategy};
+use xvr_core::{AnswerError, Engine, EngineConfig, QueryOptions, Strategy};
 use xvr_pattern::generator::{QueryConfig, QueryGenerator};
 use xvr_pattern::{distinct_positive_patterns, eval};
 use xvr_xml::generator::{generate, Config};
@@ -15,7 +15,7 @@ fn build_engine(doc_seed: u64, view_seed: u64, n_views: usize) -> Engine {
         distinct_positive_patterns(&doc, QueryConfig::paper_view_workload(view_seed), n_views);
     let mut engine = Engine::new(doc, EngineConfig::default());
     for v in views {
-        engine.add_view(v);
+        engine.add_view(v).unwrap();
     }
     engine
 }
@@ -24,6 +24,7 @@ fn build_engine(doc_seed: u64, view_seed: u64, n_views: usize) -> Engine {
 fn strategies_agree_on_random_workload() {
     let engine = build_engine(11, 12, 60);
     let doc = engine.doc().clone();
+    let snap = engine.snapshot();
     let mut gen = QueryGenerator::new(&doc.fst, QueryConfig::paper_query_workload(13));
     let mut answered = 0usize;
     let mut attempted = 0usize;
@@ -32,11 +33,19 @@ fn strategies_agree_on_random_workload() {
             continue;
         };
         attempted += 1;
-        let reference = engine.answer(&q, Strategy::Bn).unwrap().codes;
-        let bf = engine.answer(&q, Strategy::Bf).unwrap().codes;
+        let reference = snap
+            .query(&q, &QueryOptions::strategy(Strategy::Bn))
+            .answer
+            .unwrap()
+            .codes;
+        let bf = snap
+            .query(&q, &QueryOptions::strategy(Strategy::Bf))
+            .answer
+            .unwrap()
+            .codes;
         assert_eq!(bf, reference, "BF mismatch on {}", q.display(&doc.labels));
         for strategy in [Strategy::Mn, Strategy::Mv, Strategy::Hv, Strategy::Cb] {
-            match engine.answer(&q, strategy) {
+            match snap.query(&q, &QueryOptions::strategy(strategy)).answer {
                 Ok(a) => {
                     assert_eq!(
                         a.codes,
@@ -65,16 +74,18 @@ fn self_view_always_answers() {
     let queries = distinct_positive_patterns(&doc, QueryConfig::paper_query_workload(22), 25);
     let mut engine = Engine::new(doc, EngineConfig::default());
     for q in &queries {
-        engine.add_view(q.clone());
+        engine.add_view(q.clone()).unwrap();
     }
     let doc = engine.doc().clone();
+    let snap = engine.snapshot();
     for q in &queries {
         let reference: Vec<String> = eval(q, &doc.tree)
             .into_iter()
             .map(|n| doc.dewey.code_of(&doc.tree, n).to_string())
             .collect();
-        let a = engine
-            .answer(q, Strategy::Hv)
+        let a = snap
+            .query(q, &QueryOptions::strategy(Strategy::Hv))
+            .answer
             .unwrap_or_else(|e| panic!("{} not answered: {e}", q.display(&doc.labels)));
         let got: Vec<String> = a.codes.iter().map(|c| c.to_string()).collect();
         assert_eq!(got, reference, "{}", q.display(&doc.labels));
@@ -87,13 +98,14 @@ fn mv_answers_subset_of_mn() {
     // (filtering never loses answerability).
     let engine = build_engine(31, 32, 40);
     let doc = engine.doc().clone();
+    let snap = engine.snapshot();
     let mut gen = QueryGenerator::new(&doc.fst, QueryConfig::paper_query_workload(33));
     for _ in 0..20 {
         let Some(q) = gen.generate_positive(&doc, 50) else {
             continue;
         };
-        let mv = engine.answer(&q, Strategy::Mv);
-        let mn = engine.answer(&q, Strategy::Mn);
+        let mv = snap.query(&q, &QueryOptions::strategy(Strategy::Mv)).answer;
+        let mn = snap.query(&q, &QueryOptions::strategy(Strategy::Mn)).answer;
         if mv.is_ok() {
             assert!(mn.is_ok(), "{}", q.display(&doc.labels));
         }
@@ -114,16 +126,21 @@ fn fragment_budget_never_breaks_correctness() {
         },
     );
     for v in views {
-        engine.add_view(v);
+        engine.add_view(v).unwrap();
     }
     let doc = engine.doc().clone();
+    let snap = engine.snapshot();
     let mut gen = QueryGenerator::new(&doc.fst, QueryConfig::paper_query_workload(43));
     for _ in 0..20 {
         let Some(q) = gen.generate_positive(&doc, 50) else {
             continue;
         };
-        let reference = engine.answer(&q, Strategy::Bn).unwrap().codes;
-        if let Ok(a) = engine.answer(&q, Strategy::Hv) {
+        let reference = snap
+            .query(&q, &QueryOptions::strategy(Strategy::Bn))
+            .answer
+            .unwrap()
+            .codes;
+        if let Ok(a) = snap.query(&q, &QueryOptions::strategy(Strategy::Hv)).answer {
             assert_eq!(a.codes, reference, "{}", q.display(&doc.labels));
         }
     }

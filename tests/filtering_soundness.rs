@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 
-use xvr_core::filter::{build_nfa, filter_views};
-use xvr_core::ViewSet;
+use xvr_core::filter::{build_nfa, filter_views_metered, FilterOptions};
+use xvr_core::{StageCounters, ViewSet};
 use xvr_pattern::{
     contains, contains_complete, equivalent_complete, normalize, path_contains, Axis, PLabel,
     PathPattern, Step, TreePattern,
@@ -129,7 +129,7 @@ proptest! {
             views.add(v.clone());
         }
         let nfa = build_nfa(&views);
-        let outcome = filter_views(&q, &views, &nfa);
+        let outcome = filter_views_metered(&q, &views, &nfa, FilterOptions::default(), &mut StageCounters::new());
         for view in views.iter() {
             if contains(&view.pattern, &q) {
                 prop_assert!(outcome.candidates.contains(&view.id),
@@ -156,7 +156,7 @@ proptest! {
             views.add(v.clone());
         }
         let nfa = build_nfa(&views);
-        let outcome = filter_views(&q, &views, &nfa);
+        let outcome = filter_views_metered(&q, &views, &nfa, FilterOptions::default(), &mut StageCounters::new());
         for view in views.iter() {
             if contains_complete(&view.pattern, &q, &labels) {
                 prop_assert!(outcome.candidates.contains(&view.id),
@@ -183,7 +183,13 @@ fn vfilter_candidates_cover(view: &TreePattern, q: &TreePattern) {
     let mut views = ViewSet::new();
     views.add(view.clone());
     let nfa = build_nfa(&views);
-    let outcome = filter_views(q, &views, &nfa);
+    let outcome = filter_views_metered(
+        q,
+        &views,
+        &nfa,
+        FilterOptions::default(),
+        &mut StageCounters::new(),
+    );
     for v in views.iter() {
         if contains(&v.pattern, q) {
             assert!(

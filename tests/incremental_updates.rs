@@ -2,9 +2,18 @@
 //! appends must equal a freshly built engine's, and unaffected views must
 //! not be re-materialized.
 
-use xvr_core::{Engine, EngineConfig, QueryOptions, Strategy};
+use xvr_core::{Engine, EngineConfig, EngineSnapshot, QueryOptions, Strategy};
+use xvr_pattern::TreePattern;
 use xvr_xml::samples::book_document;
 use xvr_xml::{CodeStability, DeweyCode};
+
+/// `q`'s answer codes under `strategy`, which must answer it.
+fn codes(snap: &EngineSnapshot, q: &TreePattern, strategy: Strategy) -> Vec<DeweyCode> {
+    snap.query(q, &QueryOptions::strategy(strategy))
+        .answer
+        .unwrap()
+        .codes
+}
 
 fn fresh_reference(engine: &Engine, views: &[&str], qsrc: &str) -> Vec<String> {
     // Rebuild an engine over the *updated* document and answer from views.
@@ -13,10 +22,7 @@ fn fresh_reference(engine: &Engine, views: &[&str], qsrc: &str) -> Vec<String> {
         fresh.add_view_str(v).unwrap();
     }
     let q = fresh.parse(qsrc).unwrap();
-    fresh
-        .answer(&q, Strategy::Hv)
-        .unwrap()
-        .codes
+    codes(&fresh.snapshot(), &q, Strategy::Hv)
         .iter()
         .map(|c| c.to_string())
         .collect()
@@ -41,19 +47,14 @@ fn stable_append_updates_affected_views_only() {
     // Answers equal a fresh engine over the updated document.
     for qsrc in ["//s[t]/p", "//s[f//i][t]/p"] {
         let q = engine.parse(qsrc).unwrap();
-        let got: Vec<String> = engine
-            .answer(&q, Strategy::Hv)
-            .unwrap()
-            .codes
+        let snap = engine.snapshot();
+        let got: Vec<String> = codes(&snap, &q, Strategy::Hv)
             .iter()
             .map(|c| c.to_string())
             .collect();
         assert_eq!(got, fresh_reference(&engine, &views, qsrc), "{qsrc}");
         // And equal direct evaluation.
-        let direct: Vec<String> = engine
-            .answer(&q, Strategy::Bn)
-            .unwrap()
-            .codes
+        let direct: Vec<String> = codes(&snap, &q, Strategy::Bn)
             .iter()
             .map(|c| c.to_string())
             .collect();
@@ -77,15 +78,16 @@ fn alphabet_growing_append_rematerializes_everything() {
     assert_eq!(stats.views_skipped, 0);
     for qsrc in ["//s[t]/p", "//f/i", "//s[a]/p"] {
         let q = engine.parse(qsrc).unwrap();
-        let hv = engine.answer(&q, Strategy::Hv);
-        let direct = engine.answer(&q, Strategy::Bn).unwrap().codes;
+        let snap = engine.snapshot();
+        let hv = snap.query(&q, &QueryOptions::strategy(Strategy::Hv)).answer;
+        let direct = codes(&snap, &q, Strategy::Bn);
         if let Ok(a) = hv {
             assert_eq!(a.codes, direct, "{qsrc}");
         }
     }
     // The section now has an author: //s[a]/p is non-empty.
     let q = engine.parse("//s[a]/p").unwrap();
-    assert!(!engine.answer(&q, Strategy::Bn).unwrap().codes.is_empty());
+    assert!(!codes(&engine.snapshot(), &q, Strategy::Bn).is_empty());
 }
 
 #[test]
@@ -98,8 +100,9 @@ fn repeated_appends_stay_consistent() {
         engine.append_xml(&root_code, &xml).unwrap();
     }
     let q = engine.parse("//s[t]/p").unwrap();
-    let direct = engine.answer(&q, Strategy::Bn).unwrap().codes;
-    let via_views = engine.answer(&q, Strategy::Hv).unwrap().codes;
+    let snap = engine.snapshot();
+    let direct = codes(&snap, &q, Strategy::Bn);
+    let via_views = codes(&snap, &q, Strategy::Hv);
     assert_eq!(via_views, direct);
     assert_eq!(direct.len(), 8 + 5);
 }
@@ -152,23 +155,14 @@ fn append_with_new_label_leaves_snapshot_frozen() {
     // The writer resolves the new label: direct evaluation finds the
     // appended node, and a post-append snapshot decodes it too.
     let q_new = engine.parse("//z/p").unwrap();
-    assert_eq!(engine.answer(&q_new, Strategy::Bn).unwrap().codes.len(), 1);
+    let q_old_w = engine.parse("//s[t]/p").unwrap();
     let thawed = engine.snapshot();
-    assert_eq!(
-        thawed
-            .query(&q_new, &QueryOptions::strategy(Strategy::Bn))
-            .answer
-            .unwrap()
-            .codes
-            .len(),
-        1
-    );
+    assert_eq!(codes(&thawed, &q_new, Strategy::Bn).len(), 1);
     // And the old query now also covers the appended <p> via its view
     // (the append rematerializes affected views in the writer).
-    let q_old_w = engine.parse("//s[t]/p").unwrap();
     assert_eq!(
-        engine.answer(&q_old_w, Strategy::Hv).unwrap().codes,
-        engine.answer(&q_old_w, Strategy::Bn).unwrap().codes
+        codes(&thawed, &q_old_w, Strategy::Hv),
+        codes(&thawed, &q_old_w, Strategy::Bn)
     );
 }
 

@@ -176,18 +176,25 @@ fn seeded_differential_matches_ground_truth() {
             distinct_positive_patterns(&doc, QueryConfig::paper_view_workload(seed ^ 0x1), 14);
         let mut engine = Engine::new(doc, EngineConfig::default());
         for v in views {
-            engine.add_view(v);
+            engine.add_view(v).unwrap();
         }
         let doc = engine.doc().clone();
+        let snap = engine.snapshot();
         let mut gen = QueryGenerator::new(&doc.fst, QueryConfig::paper_query_workload(seed ^ 0x2));
         for _ in 0..8 {
             let Some(q) = gen.generate_positive(&doc, 30) else {
                 continue;
             };
             checked += 1;
-            let ground = engine.answer(&q, Strategy::Bn).unwrap().codes;
-            let hv = engine.answer(&q, Strategy::Hv);
-            let hvi = engine.answer(&q, Strategy::HvIntersect);
+            let ground = snap
+                .query(&q, &QueryOptions::strategy(Strategy::Bn))
+                .answer
+                .unwrap()
+                .codes;
+            let hv = snap.query(&q, &QueryOptions::strategy(Strategy::Hv)).answer;
+            let hvi = snap
+                .query(&q, &QueryOptions::strategy(Strategy::HvIntersect))
+                .answer;
             if hv.is_ok() {
                 assert!(
                     hvi.is_ok(),

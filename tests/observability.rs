@@ -26,7 +26,7 @@ fn xmark_snapshot() -> (EngineSnapshot, Vec<TreePattern>) {
     let mut queries: Vec<TreePattern> = Vec::new();
     for (_, src) in xmark_queries() {
         let q = engine.parse(src).unwrap();
-        engine.add_view(q.clone());
+        engine.add_view(q.clone()).unwrap();
         queries.push(q);
     }
     queries.extend(workload.queries.into_iter().map(|(_, q)| q));

@@ -1,6 +1,6 @@
 //! Every numbered example of the paper, end-to-end.
 
-use xvr_core::{Engine, EngineConfig, Strategy, ViewId};
+use xvr_core::{Engine, EngineConfig, QueryOptions, Strategy, ViewId};
 use xvr_pattern::{
     decompose, normalize, parse_pattern_with, path_contains, PathPattern, TreePattern,
 };
@@ -86,14 +86,18 @@ fn examples_3_4_and_4_3() {
     let v4 = engine.add_view_str("//s[p]/f").unwrap();
     let q = engine.parse("//s[f//i][t]/p").unwrap();
 
-    let filtered = engine.filter(&q);
+    let snap = engine.snapshot();
+    let filtered = snap.filter(&q);
     assert!(filtered.candidates.contains(&v1));
     assert!(
         !filtered.candidates.contains(&ViewId(2)),
         "V3 must be filtered"
     );
 
-    let answer = engine.answer(&q, Strategy::Hv).unwrap();
+    let answer = snap
+        .query(&q, &QueryOptions::strategy(Strategy::Hv))
+        .answer
+        .unwrap();
     assert_eq!(answer.views_used, vec![v1, v4]);
 }
 
@@ -107,7 +111,11 @@ fn example_5_1() {
     engine.add_view_str("//s[t]/p").unwrap();
     engine.add_view_str("//s[p]/f").unwrap();
     let q = engine.parse("//s[f//i][t]/p").unwrap();
-    let a = engine.answer(&q, Strategy::Hv).unwrap();
+    let snap = engine.snapshot();
+    let a = snap
+        .query(&q, &QueryOptions::strategy(Strategy::Hv))
+        .answer
+        .unwrap();
     let codes: Vec<String> = a.codes.iter().map(|c| c.to_string()).collect();
     // p3 = 0.8.6.1, p4 = 0.8.6.5; p5/p6/p7 live in section 2's subtree.
     assert_eq!(codes.len(), 5);
@@ -117,7 +125,10 @@ fn example_5_1() {
     assert!(!codes.contains(&"0.8.1".to_string()));
     assert!(!codes.contains(&"0.8.2.1".to_string()));
     // Same answer as every baseline.
-    let reference = engine.answer(&q, Strategy::Bn).unwrap();
+    let reference = snap
+        .query(&q, &QueryOptions::strategy(Strategy::Bn))
+        .answer
+        .unwrap();
     assert_eq!(a.codes, reference.codes);
 }
 

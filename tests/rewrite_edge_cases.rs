@@ -2,21 +2,30 @@
 //! views at multiple join positions, root answers, wildcard views, and
 //! budget interactions.
 
-use xvr_core::{Engine, EngineConfig, Strategy};
+use xvr_core::{Answer, AnswerError, Engine, EngineConfig, QueryOptions, Strategy};
+use xvr_pattern::TreePattern;
 use xvr_xml::parse_document;
 use xvr_xml::samples::book_document;
 
-fn check_all(engine: &Engine, q: &xvr_pattern::TreePattern) {
-    let reference = engine.answer(q, Strategy::Bn).unwrap().codes;
+/// `q` answered under `strategy` on a fresh snapshot of `engine`.
+fn answer(engine: &Engine, q: &TreePattern, strategy: Strategy) -> Result<Answer, AnswerError> {
+    engine
+        .snapshot()
+        .query(q, &QueryOptions::strategy(strategy))
+        .answer
+}
+
+fn check_all(engine: &Engine, q: &TreePattern) {
+    let reference = answer(engine, q, Strategy::Bn).unwrap().codes;
     for strategy in [Strategy::Mv, Strategy::Hv, Strategy::Cb] {
-        match engine.answer(q, strategy) {
+        match answer(engine, q, strategy) {
             Ok(a) => assert_eq!(
                 a.codes,
                 reference,
                 "{strategy} on {}",
                 q.display(engine.labels())
             ),
-            Err(xvr_core::AnswerError::NotAnswerable) => {}
+            Err(AnswerError::NotAnswerable) => {}
             Err(e) => panic!("{strategy}: {e}"),
         }
     }
@@ -31,8 +40,8 @@ fn nested_fragments_join_correctly() {
     engine.add_view_str("//s").unwrap();
     for qsrc in ["//s//p", "//s/s/p", "//s[.//i]//p", "//s//s"] {
         let q = engine.parse(qsrc).unwrap();
-        let a = engine.answer(&q, Strategy::Hv).expect(qsrc);
-        let reference = engine.answer(&q, Strategy::Bn).unwrap().codes;
+        let a = answer(&engine, &q, Strategy::Hv).expect(qsrc);
+        let reference = answer(&engine, &q, Strategy::Bn).unwrap().codes;
         assert_eq!(a.codes, reference, "{qsrc}");
     }
 }
@@ -46,7 +55,7 @@ fn one_view_joined_at_two_positions() {
     engine.add_view_str("//s/p").unwrap();
     let q = engine.parse("/b/s[s/p]/s/p").unwrap();
     check_all(&engine, &q);
-    let a = engine.answer(&q, Strategy::Mv).unwrap();
+    let a = answer(&engine, &q, Strategy::Mv).unwrap();
     assert_eq!(a.views_used.len(), 1);
     assert!(!a.codes.is_empty());
 }
@@ -59,7 +68,7 @@ fn answer_at_pattern_root() {
     engine.add_view_str("//s[t][p]").unwrap();
     let q = engine.parse("//s[t][p]").unwrap();
     check_all(&engine, &q);
-    let a = engine.answer(&q, Strategy::Hv).unwrap();
+    let a = answer(&engine, &q, Strategy::Hv).unwrap();
     assert_eq!(a.codes.len(), 6, "every section has a title and paragraph");
 }
 
@@ -72,8 +81,8 @@ fn wildcard_answer_view() {
     engine.add_view_str("//s/*").unwrap();
     for qsrc in ["//s/p", "//s/f", "//s/t"] {
         let q = engine.parse(qsrc).unwrap();
-        let a = engine.answer(&q, Strategy::Hv).expect(qsrc);
-        let reference = engine.answer(&q, Strategy::Bn).unwrap().codes;
+        let a = answer(&engine, &q, Strategy::Hv).expect(qsrc);
+        let reference = answer(&engine, &q, Strategy::Bn).unwrap().codes;
         assert_eq!(a.codes, reference, "{qsrc}");
     }
 }
@@ -86,12 +95,12 @@ fn descendant_anchored_self_view() {
     let queries = ["//s[.//i]//p", "//*[t]/f", "//s[f//i][t]/p"];
     for qsrc in queries {
         let q = engine.parse(qsrc).unwrap();
-        engine.add_view(q.clone());
+        engine.add_view(q.clone()).unwrap();
     }
     for qsrc in queries {
         let q = engine.parse(qsrc).unwrap();
         check_all(&engine, &q);
-        assert!(engine.answer(&q, Strategy::Hv).is_ok(), "{qsrc}");
+        assert!(answer(&engine, &q, Strategy::Hv).is_ok(), "{qsrc}");
     }
 }
 
@@ -104,7 +113,7 @@ fn empty_answer_sets_round_trip() {
     engine.add_view_str("//s[a]/p").unwrap(); // no section has an author
     engine.add_view_str("//s[t]/p").unwrap();
     let q = engine.parse("//s[a]/p").unwrap();
-    if let Ok(a) = engine.answer(&q, Strategy::Hv) {
+    if let Ok(a) = answer(&engine, &q, Strategy::Hv) {
         assert!(a.codes.is_empty());
     }
 }
@@ -115,10 +124,10 @@ fn single_node_document() {
     let mut engine = Engine::new(doc, EngineConfig::default());
     engine.add_view_str("/a").unwrap();
     let q = engine.parse("/a").unwrap();
-    let a = engine.answer(&q, Strategy::Hv).unwrap();
+    let a = answer(&engine, &q, Strategy::Hv).unwrap();
     assert_eq!(a.codes.len(), 1);
     let q2 = engine.parse("/a/b").unwrap();
-    assert!(engine.answer(&q2, Strategy::Bn).unwrap().codes.is_empty());
+    assert!(answer(&engine, &q2, Strategy::Bn).unwrap().codes.is_empty());
 }
 
 #[test]
@@ -137,7 +146,7 @@ fn deep_chain_document() {
     engine.add_view_str("//a//b").unwrap();
     let q = engine.parse("//a/b[.//b]").unwrap();
     check_all(&engine, &q);
-    let reference = engine.answer(&q, Strategy::Bn).unwrap();
+    let reference = answer(&engine, &q, Strategy::Bn).unwrap();
     assert_eq!(reference.codes.len(), 29);
 }
 
@@ -151,14 +160,14 @@ fn attr_predicates_through_rewriting() {
     // Query needs both @k and [t]: only the first s qualifies.
     let q = engine.parse("//s[@k][t]/p").unwrap();
     check_all(&engine, &q);
-    let a = engine.answer(&q, Strategy::Hv).unwrap();
+    let a = answer(&engine, &q, Strategy::Hv).unwrap();
     assert_eq!(a.codes.len(), 1);
     // Value-specific query answered by the existence view + fragment check?
     // The @k="2" node has no t; @k="1" has one.
     let q2 = engine.parse(r#"//s[@k="1"][t]/p"#).unwrap();
-    let reference = engine.answer(&q2, Strategy::Bn).unwrap().codes;
+    let reference = answer(&engine, &q2, Strategy::Bn).unwrap().codes;
     assert_eq!(reference.len(), 1);
-    if let Ok(a2) = engine.answer(&q2, Strategy::Hv) {
+    if let Ok(a2) = answer(&engine, &q2, Strategy::Hv) {
         assert_eq!(a2.codes, reference);
     }
 }
@@ -173,8 +182,8 @@ fn anchor_above_other_units() {
     engine.add_view_str("//f/i").unwrap(); // deep unit (m = i)
     let q = engine.parse("//s[t][f/i]/p").unwrap();
     check_all(&engine, &q);
-    let a = engine.answer(&q, Strategy::Hv).expect("answerable");
-    let direct = engine.answer(&q, Strategy::Bn).unwrap().codes;
+    let a = answer(&engine, &q, Strategy::Hv).expect("answerable");
+    let direct = answer(&engine, &q, Strategy::Bn).unwrap().codes;
     assert_eq!(a.codes, direct);
     assert!(!a.codes.is_empty());
 }
@@ -189,8 +198,8 @@ fn three_way_join() {
     // Needs p (anchor), the figure title, and the image — three units.
     let q = engine.parse("//s[f[t]/i][t]/p").unwrap();
     check_all(&engine, &q);
-    let a = engine.answer(&q, Strategy::Hv).expect("answerable");
-    let direct = engine.answer(&q, Strategy::Bn).unwrap().codes;
+    let a = answer(&engine, &q, Strategy::Hv).expect("answerable");
+    let direct = answer(&engine, &q, Strategy::Bn).unwrap().codes;
     assert_eq!(a.codes, direct);
     assert_eq!(direct.len(), 5, "all figure sections' paragraphs");
 }

@@ -4,7 +4,10 @@
 
 use proptest::prelude::*;
 
-use xvr_core::{AnswerError, Engine, EngineConfig, Strategy};
+use xvr_core::{
+    rewrite_metered, rewrite_scan_metered, AnswerError, Engine, EngineConfig, QueryOptions,
+    RewriteCache, StageCounters, Strategy,
+};
 use xvr_pattern::distinct_positive_patterns;
 use xvr_pattern::generator::{QueryConfig, QueryGenerator};
 use xvr_xml::generator::{generate, Config};
@@ -15,9 +18,10 @@ fn run_trial(doc_seed: u64, view_seed: u64, query_seed: u64, n_views: usize) -> 
         distinct_positive_patterns(&doc, QueryConfig::paper_view_workload(view_seed), n_views);
     let mut engine = Engine::new(doc, EngineConfig::default());
     for v in views {
-        engine.add_view(v);
+        engine.add_view(v).unwrap();
     }
     let doc = engine.doc().clone();
+    let snap = engine.snapshot();
     let mut gen = QueryGenerator::new(&doc.fst, QueryConfig::paper_query_workload(query_seed));
     let mut answered = 0usize;
     let mut total = 0usize;
@@ -26,9 +30,13 @@ fn run_trial(doc_seed: u64, view_seed: u64, query_seed: u64, n_views: usize) -> 
             continue;
         };
         total += 1;
-        let reference = engine.answer(&q, Strategy::Bn).unwrap().codes;
+        let reference = snap
+            .query(&q, &QueryOptions::strategy(Strategy::Bn))
+            .answer
+            .unwrap()
+            .codes;
         for strategy in [Strategy::Mv, Strategy::Hv, Strategy::Cb] {
-            match engine.answer(&q, strategy) {
+            match snap.query(&q, &QueryOptions::strategy(strategy)).answer {
                 Ok(a) => {
                     assert_eq!(
                         a.codes,
@@ -60,76 +68,84 @@ proptest! {
     }
 }
 
-/// Join differential: the galloping flat-code join and the legacy
-/// scan-merge join are byte-identical over random workloads, both
-/// end-to-end (`EngineConfig::scan_join` routes the whole pipeline through
-/// the scan join) and at the unit level (both joins run on the *same*
-/// selection). The oracle sweeps the same property as
-/// `join_equivalence` over full XMark-like cases in CI.
+/// Join differential: the galloping flat-code join — uncached, and twice
+/// through a `RewriteCache` shared by the whole seed — and the legacy
+/// scan-merge join return identical results on the identical selection,
+/// under both `Mv` and `Hv`. Selection does not depend on the join, so this
+/// covers every answer the pipeline serves for these strategies; the
+/// served answer is checked against the scan join too. The oracle sweeps
+/// the same property as `join_equivalence` over full XMark-like cases in
+/// CI.
 #[test]
 fn galloping_and_scan_joins_agree() {
-    let mut checked_engine = 0usize;
-    let mut checked_unit = 0usize;
+    let mut checked = [0usize; 2];
     for seed in 0..6u64 {
-        let views = {
-            let doc = generate(&Config::tiny(seed));
-            distinct_positive_patterns(&doc, QueryConfig::paper_view_workload(seed + 31), 30)
-        };
-        let mut gallop = Engine::new(generate(&Config::tiny(seed)), EngineConfig::default());
-        let mut scan = Engine::new(
-            generate(&Config::tiny(seed)),
-            EngineConfig {
-                scan_join: true,
-                ..EngineConfig::default()
-            },
-        );
+        let doc = generate(&Config::tiny(seed));
+        let views =
+            distinct_positive_patterns(&doc, QueryConfig::paper_view_workload(seed + 31), 30);
+        let mut engine = Engine::new(doc, EngineConfig::default());
         for v in views {
-            gallop.add_view(v.clone());
-            scan.add_view(v);
+            engine.add_view(v).unwrap();
         }
-        let doc = gallop.doc().clone();
-        let snap = gallop.snapshot();
+        let snap = engine.snapshot();
+        let doc = snap.doc();
+        let cache = RewriteCache::new();
         let mut gen = QueryGenerator::new(
             &doc.fst,
             QueryConfig::paper_query_workload(seed.wrapping_add(62)),
         );
         for _ in 0..8 {
-            let Some(q) = gen.generate_positive(&doc, 30) else {
+            let Some(q) = gen.generate_positive(doc, 30) else {
                 continue;
             };
-            for strategy in [Strategy::Mv, Strategy::Hv] {
-                let a = gallop.answer(&q, strategy);
-                let b = scan.answer(&q, strategy);
-                match (&a, &b) {
-                    (Ok(x), Ok(y)) => {
-                        assert_eq!(
-                            x.codes,
-                            y.codes,
-                            "{strategy} joins disagree on {} (seed {seed})",
-                            q.display(&doc.labels)
-                        );
-                        checked_engine += 1;
-                    }
-                    (Err(AnswerError::NotAnswerable), Err(AnswerError::NotAnswerable)) => {}
-                    _ => panic!(
-                        "{strategy} join answerability disagrees on {} (seed {seed}): {a:?} vs {b:?}",
-                        q.display(&doc.labels)
-                    ),
+            for (i, strategy) in [Strategy::Mv, Strategy::Hv].into_iter().enumerate() {
+                let (Some(sel), _, _) = snap.lookup(&q, strategy, &mut StageCounters::new()) else {
+                    continue;
+                };
+                let (views, store) = (snap.views(), snap.store());
+                let gallop = |cache| {
+                    rewrite_metered(
+                        &q,
+                        &sel,
+                        views,
+                        store,
+                        &doc.fst,
+                        cache,
+                        &mut StageCounters::new(),
+                    )
+                };
+                let scan = rewrite_scan_metered(
+                    &q,
+                    &sel,
+                    views,
+                    store,
+                    &doc.fst,
+                    &mut StageCounters::new(),
+                );
+                let what = format!("{strategy} on {} (seed {seed})", q.display(&doc.labels));
+                assert_eq!(gallop(None), scan, "uncached join disagrees: {what}");
+                for pass in 0..2 {
+                    assert_eq!(
+                        gallop(Some(&cache)),
+                        scan,
+                        "cached join disagrees (pass {pass}): {what}"
+                    );
                 }
-            }
-            // Unit level: run both joins on the identical selection.
-            if let (Some(sel), _, _) = snap.lookup(&q, Strategy::Hv) {
-                let g = xvr_core::rewrite(&q, &sel, snap.views(), snap.store(), &doc.fst).unwrap();
-                let s =
-                    xvr_core::rewrite_scan(&q, &sel, snap.views(), snap.store(), &doc.fst).unwrap();
-                assert_eq!(g, s, "unit-level joins disagree (seed {seed})");
-                checked_unit += 1;
+                let served = snap.query(&q, &QueryOptions::strategy(strategy)).answer;
+                assert_eq!(
+                    served.map(|a| a.codes).ok(),
+                    scan.ok(),
+                    "served answer disagrees: {what}"
+                );
+                checked[i] += 1;
             }
         }
     }
     assert!(
-        checked_engine > 0 && checked_unit > 0,
-        "differential never exercised the joins ({checked_engine}, {checked_unit})"
+        checked.iter().all(|&n| n > 0),
+        "differential never exercised the joins (Mv {}, Hv {})",
+        checked[0],
+        checked[1]
     );
 }
 

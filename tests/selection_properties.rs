@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 
-use xvr_core::filter::{build_nfa, filter_views};
+use xvr_core::filter::{build_nfa, filter_views_metered, FilterOptions};
 use xvr_core::leafcover::Obligations;
-use xvr_core::select::{select_heuristic, select_minimum};
-use xvr_core::ViewSet;
+use xvr_core::select::{select_heuristic_metered, select_minimum_metered};
+use xvr_core::{StageCounters, ViewSet};
 use xvr_pattern::distinct_positive_patterns;
 use xvr_pattern::generator::{QueryConfig, QueryGenerator};
 use xvr_xml::generator::{generate, Config};
@@ -42,10 +42,11 @@ proptest! {
         let mut gen = QueryGenerator::new(&doc.fst, QueryConfig::paper_query_workload(query_seed));
         for _ in 0..5 {
             let Some(q) = gen.generate_positive(&doc, 30) else { continue };
-            let outcome = filter_views(&q, &views, &nfa);
+            let mut counters = StageCounters::new();
+            let outcome = filter_views_metered(&q, &views, &nfa, FilterOptions::default(), &mut counters);
             let ob = Obligations::of(&q);
-            let heuristic = select_heuristic(&q, &views, &outcome, &ob);
-            let minimum = select_minimum(&q, &views, &outcome.candidates, &ob, 4);
+            let heuristic = select_heuristic_metered(&q, &views, &outcome, &ob, &mut counters);
+            let minimum = select_minimum_metered(&q, &views, &outcome.candidates, &ob, 4, &mut counters);
             match (&heuristic, &minimum) {
                 (Some(h), Some(m)) => {
                     prop_assert!(
@@ -77,10 +78,11 @@ proptest! {
         let mut gen = QueryGenerator::new(&doc.fst, QueryConfig::paper_query_workload(query_seed));
         for _ in 0..4 {
             let Some(q) = gen.generate_positive(&doc, 30) else { continue };
-            let outcome = filter_views(&q, &views, &nfa);
+            let mut counters = StageCounters::new();
+            let outcome = filter_views_metered(&q, &views, &nfa, FilterOptions::default(), &mut counters);
             let ob = Obligations::of(&q);
-            let unfiltered = select_minimum(&q, &views, &all, &ob, 3);
-            let filtered = select_minimum(&q, &views, &outcome.candidates, &ob, 3);
+            let unfiltered = select_minimum_metered(&q, &views, &all, &ob, 3, &mut counters);
+            let filtered = select_minimum_metered(&q, &views, &outcome.candidates, &ob, 3, &mut counters);
             prop_assert_eq!(
                 unfiltered.is_some(),
                 filtered.is_some(),
@@ -104,9 +106,11 @@ fn selection_uses_only_candidates() {
         let Some(q) = gen.generate_positive(&doc, 30) else {
             continue;
         };
-        let outcome = filter_views(&q, &views, &nfa);
+        let mut counters = StageCounters::new();
+        let outcome =
+            filter_views_metered(&q, &views, &nfa, FilterOptions::default(), &mut counters);
         let ob = Obligations::of(&q);
-        if let Some(sel) = select_heuristic(&q, &views, &outcome, &ob) {
+        if let Some(sel) = select_heuristic_metered(&q, &views, &outcome, &ob, &mut counters) {
             for v in sel.view_ids() {
                 assert!(outcome.candidates.contains(&v));
             }

@@ -355,6 +355,59 @@ fn server_request_response_cycle() {
     handle.join().unwrap().unwrap();
 }
 
+/// An `AddView` the catalog cannot hold (65 root-to-leaf paths) gets an
+/// `Input` error reply instead of panicking the handler while it holds the
+/// writer, and the write path stays usable: the next valid `AddView`
+/// publishes epoch 1.
+#[test]
+fn oversized_add_view_is_rejected_and_the_writer_survives() {
+    let (engine, sources) = planted_engine(0.002);
+    let server = Server::bind("127.0.0.1:0", engine, sources, ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = Client::connect_retry(&addr, Duration::from_secs(5)).unwrap();
+
+    let preds: String = (0..65).map(|i| format!("[c{i}]")).collect();
+    let resp = client
+        .call(&Request::AddView {
+            xpath: format!("/site{preds}"),
+        })
+        .unwrap();
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                status: Status::Input,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    match client.call(&Request::Stats).unwrap() {
+        Response::Stats { epoch, .. } => assert_eq!(epoch, 0, "rejected write published"),
+        other => panic!("expected stats, got {other:?}"),
+    }
+
+    let resp = client
+        .call(&Request::AddView {
+            xpath: "/site/regions//item/name".into(),
+        })
+        .unwrap();
+    match resp {
+        Response::Swapped { epoch, views, .. } => {
+            assert_eq!(epoch, 1);
+            assert_eq!(views, 9); // 8 planted + 1
+        }
+        other => panic!("expected swapped, got {other:?}"),
+    }
+
+    assert!(matches!(
+        client.call(&Request::Shutdown).unwrap(),
+        Response::ShuttingDown
+    ));
+    handle.join().unwrap().unwrap();
+}
+
 /// The advisor over the wire: an `Advise` request against the resident
 /// document returns a proposal that covers the workload, and the
 /// connection keeps serving queries afterwards (the advisor is
