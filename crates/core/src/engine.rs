@@ -248,7 +248,11 @@ impl Default for EngineConfig {
 /// Every component lives behind an [`Arc`] so that [`Engine::snapshot`]
 /// is practically free; mutation goes through [`Arc::make_mut`], which
 /// clones a component only while a snapshot still holds the old version
-/// (copy-on-write).
+/// (copy-on-write). The view catalog and the store hold each view behind
+/// its own `Arc`, so that clone copies one pointer per view: an
+/// [`add_view`](Engine::add_view) costs those pointer copies, a full
+/// clone of the VFILTER automaton and the new view's materialization,
+/// not a copy of every fragment.
 pub struct Engine {
     doc: Arc<Document>,
     labels: Arc<LabelTable>,
@@ -289,7 +293,8 @@ impl Engine {
     /// [`EngineSnapshot`] carrying the full read path.
     ///
     /// Costs eight reference-count bumps — no data is copied. Later
-    /// engine mutations copy-on-write only the components they touch, so
+    /// engine mutations copy-on-write only the components they touch
+    /// (one pointer per view for the catalog and the store), so
     /// outstanding snapshots keep observing exactly the state they froze.
     /// Every snapshot starts with a fresh [`RewriteCache`] (shared by its
     /// clones), so cached rewriting can never observe state from before a
@@ -399,7 +404,8 @@ impl Engine {
     /// views that mention a label of the inserted subtree (or a wildcard)
     /// can change, so only those are re-materialized — unless the append
     /// grew a child alphabet, which re-encodes the document and stales
-    /// every fragment (see [`CodeStability`]).
+    /// every fragment (see [`CodeStability`]). Skipped views stay shared
+    /// with outstanding snapshots.
     pub fn append_xml(
         &mut self,
         parent_code: &DeweyCode,
@@ -564,6 +570,50 @@ mod tests {
         let q = e.parse("//s[t]/p").unwrap();
         let a = answer(&e.snapshot(), &q, Strategy::Hv).unwrap();
         assert!(a.timings.total_us() >= a.timings.lookup_us());
+    }
+
+    /// `add_view` costs one view, not the catalog: every pre-existing
+    /// view definition and materialization stays shared (pointer-equal)
+    /// between the snapshot taken before the write and the one after,
+    /// while the old snapshot keeps answering from exactly the state it
+    /// froze.
+    #[test]
+    fn add_view_shares_untouched_views_and_isolates_the_old_snapshot() {
+        let mut e = engine_with_views(&["//s[t]/p", "//s[p]/f", "//f/i"]);
+        let old = e.snapshot();
+        let q = old.parse("//s[t]/p").unwrap();
+        let q_new = old.parse("//s/t").unwrap();
+        let rendered = |snap: &EngineSnapshot, q: &TreePattern| {
+            let a = answer(snap, q, Strategy::Hv);
+            a.map(|a| {
+                (
+                    a.codes.iter().map(|c| c.to_string()).collect::<Vec<_>>(),
+                    a.views_used,
+                )
+            })
+        };
+        let before = rendered(&old, &q);
+        assert_eq!(rendered(&old, &q_new), Err(AnswerError::NotAnswerable));
+
+        let added = e.add_view_str("//s/t").unwrap();
+        let new = e.snapshot();
+
+        for v in old.views().ids() {
+            assert!(
+                std::ptr::eq(old.views().view(v), new.views().view(v)),
+                "{v:?}"
+            );
+            assert!(
+                std::ptr::eq(old.store().get(v).unwrap(), new.store().get(v).unwrap()),
+                "{v:?}"
+            );
+        }
+        assert_eq!((old.views().len(), old.store().len()), (3, 3));
+        assert_eq!((new.views().len(), new.store().len()), (4, 4));
+        assert!(old.store().get(added).is_none());
+        assert_eq!(rendered(&old, &q), before);
+        assert_eq!(rendered(&old, &q_new), Err(AnswerError::NotAnswerable));
+        assert!(rendered(&new, &q_new).is_ok());
     }
 
     #[test]

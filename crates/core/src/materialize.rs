@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use xvr_pattern::eval;
 use xvr_xml::{DeweyAssignment, DeweyCode, Document, FragmentSet};
@@ -68,9 +69,14 @@ impl MaterializedView {
 }
 
 /// Store of materialized views, indexed by [`ViewId`].
+///
+/// Each view sits behind its own [`Arc`], so cloning the store (what
+/// `Arc::make_mut` does while a snapshot still holds it) copies one
+/// pointer per view and shares every fragment; (re-)materializing a view
+/// replaces only that view's pointer.
 #[derive(Clone, Debug, Default)]
 pub struct MaterializedStore {
-    views: HashMap<ViewId, MaterializedView>,
+    views: HashMap<ViewId, Arc<MaterializedView>>,
 }
 
 impl MaterializedStore {
@@ -107,18 +113,18 @@ impl MaterializedStore {
             .collect();
         self.views.insert(
             id,
-            MaterializedView {
+            Arc::new(MaterializedView {
                 view: id,
                 fragments,
                 local_dewey,
-            },
+            }),
         );
         &self.views[&id]
     }
 
     /// Access a materialized view.
     pub fn get(&self, id: ViewId) -> Option<&MaterializedView> {
-        self.views.get(&id)
+        self.views.get(&id).map(|v| &**v)
     }
 
     /// Number of materialized views.
@@ -148,11 +154,11 @@ impl MaterializedStore {
             .collect();
         self.views.insert(
             id,
-            MaterializedView {
+            Arc::new(MaterializedView {
                 view: id,
                 fragments,
                 local_dewey,
-            },
+            }),
         );
     }
 

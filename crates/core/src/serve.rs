@@ -80,8 +80,12 @@ impl SnapshotCell {
     /// the previous snapshot; subsequent loads get this one.
     pub fn swap(&self, snapshot: EngineSnapshot) -> u64 {
         let mut slot = self.slot.write().expect("snapshot cell poisoned");
-        *slot = Arc::new(snapshot);
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        let old = std::mem::replace(&mut *slot, Arc::new(snapshot));
+        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        // Free the old state outside the lock, so readers never wait on it.
+        drop(slot);
+        drop(old);
+        epoch
     }
 
     /// How many swaps have been published.

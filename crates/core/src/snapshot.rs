@@ -26,7 +26,10 @@
 //!
 //! Snapshots are copy-on-write: taking one is eight reference-count bumps,
 //! and later engine mutations clone only the components they touch
-//! (`Arc::make_mut`), leaving outstanding snapshots untouched.
+//! (`Arc::make_mut`), leaving outstanding snapshots untouched. The view
+//! catalog and the store hold each view behind its own `Arc`, so cloning
+//! either copies one pointer per view: an `add_view` shares every existing
+//! view definition and fragment with the snapshots taken before it.
 //!
 //! The one subtlety is parsing: the classic parse path interns unseen
 //! labels into the shared table, a write. Snapshots parse with

@@ -1,6 +1,8 @@
 //! View catalog: patterns registered as materializable views, with their
 //! decompositions pre-computed for VFILTER construction.
 
+use std::sync::Arc;
+
 use xvr_pattern::decompose::Decomposition;
 use xvr_pattern::{decompose, minimize, normalize, PathPattern, TreePattern};
 
@@ -44,9 +46,12 @@ impl View {
 }
 
 /// An append-only catalog of views sharing one label space.
+///
+/// Each view sits behind its own [`Arc`], so cloning the catalog copies
+/// one pointer per view and shares every definition.
 #[derive(Clone, Debug, Default)]
 pub struct ViewSet {
-    views: Vec<View>,
+    views: Vec<Arc<View>>,
 }
 
 impl ViewSet {
@@ -78,13 +83,13 @@ impl ViewSet {
         }
         let normalized_paths = decomposition.paths.iter().map(normalize).collect();
         let path_attr_masks = decomposition.attr_required_masks.clone();
-        self.views.push(View {
+        self.views.push(Arc::new(View {
             id,
             pattern,
             decomposition,
             normalized_paths,
             path_attr_masks,
-        });
+        }));
         Ok(id)
     }
 
@@ -105,7 +110,7 @@ impl ViewSet {
 
     /// Iterate over all views.
     pub fn iter(&self) -> impl Iterator<Item = &View> {
-        self.views.iter()
+        self.views.iter().map(|v| &**v)
     }
 
     /// Iterate over all view ids.

@@ -166,6 +166,53 @@ fn append_with_new_label_leaves_snapshot_frozen() {
     );
 }
 
+/// An append re-materializes only the views it can change, and only
+/// those stop being shared with the pre-append snapshot: skipped views'
+/// fragments stay pointer-equal, view definitions are never copied, and
+/// the pre-append snapshot keeps its answers.
+#[test]
+fn append_keeps_skipped_views_shared() {
+    let views = ["//s[t]/p", "//s[p]/f", "//f/i"];
+    let mut engine = Engine::new(book_document(), EngineConfig::default());
+    let ids: Vec<_> = views
+        .iter()
+        .map(|v| engine.add_view_str(v).unwrap())
+        .collect();
+    let old = engine.snapshot();
+    let queries: Vec<TreePattern> = ["//s[t]/p", "//f/i", "//s[f//i][t]/p"]
+        .iter()
+        .map(|q| old.parse(q).unwrap())
+        .collect();
+    let answers = |snap: &EngineSnapshot| -> Vec<Vec<DeweyCode>> {
+        queries
+            .iter()
+            .flat_map(|q| [codes(snap, q, Strategy::Bn), codes(snap, q, Strategy::Hv)])
+            .collect()
+    };
+    let before = answers(&old);
+
+    // A <p> under section 0.8.2 changes the views that mention p or s
+    // and leaves //f/i alone.
+    let stats = engine
+        .append_xml(&"0.8.2".parse::<DeweyCode>().unwrap(), "<p>new</p>")
+        .unwrap();
+    assert_eq!(stats.stability, CodeStability::Stable);
+    assert!(stats.views_skipped > 0, "{stats:?}");
+    let new = engine.snapshot();
+
+    let skipped = [ids[2]];
+    let mut shared = 0;
+    for &v in &ids {
+        assert!(std::ptr::eq(old.views().view(v), new.views().view(v)));
+        let same = std::ptr::eq(old.store().get(v).unwrap(), new.store().get(v).unwrap());
+        assert_eq!(same, skipped.contains(&v), "{v:?}");
+        shared += same as usize;
+    }
+    assert_eq!(shared, stats.views_skipped);
+    assert_eq!(ids.len() - shared, stats.views_rematerialized);
+    assert_eq!(answers(&old), before);
+}
+
 #[test]
 fn update_errors() {
     let mut engine = Engine::new(book_document(), EngineConfig::default());
