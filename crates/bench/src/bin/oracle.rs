@@ -13,6 +13,8 @@
 //!     --corpus-dir tests/corpus
 //! ```
 //!
+//! Every case carries a planted intersection probe, so the sweep exits
+//! non-zero unless `HvIntersect` answers more queries than `Hv` overall.
 //! `--replay` re-checks the existing corpus before sweeping. `--inject`
 //! plants a deliberate bug (`drop-last-code`, `claim-filtered-view`,
 //! `drop-last-intersect`) to demonstrate that the oracle catches and
@@ -210,6 +212,16 @@ fn main() -> ExitCode {
          {total_violations} violation(s), \
          measured vfilter false-positive rate {fp_rate} ({total_false_positives}/{total_candidates} admitted views)"
     );
+    // Every case plants an intersection probe, so a sweep where hvi does
+    // not exceed hv never answered through the fallback: its invariants
+    // passed vacuously.
+    if total_hvi <= total_hv {
+        failed = true;
+        println!(
+            "FAIL: coverage hvi {total_hvi} does not exceed hv {total_hv}: \
+             the intersection fallback never answered"
+        );
+    }
     if failed {
         ExitCode::FAILURE
     } else {

@@ -29,7 +29,7 @@ use crate::error::QueryError;
 use crate::filter::build_nfa;
 use crate::materialize::MaterializedStore;
 use crate::metrics::SnapshotMetrics;
-use crate::nfa::{AcceptEntry, Nfa};
+use crate::nfa::Nfa;
 use crate::rewrite::{RewriteCache, RewriteError};
 use crate::snapshot::EngineSnapshot;
 use crate::view::{ViewId, ViewSet};
@@ -54,10 +54,10 @@ pub enum Strategy {
     /// Heuristic view set, falling back to an intersection rewrite over
     /// small subsets of VFILTER candidates when leaf-cover answerability
     /// fails (Cautis et al., "Rewriting XPath Queries using View
-    /// Intersections"): the members' refined fragment-root arenas are
-    /// intersected with a galloping multi-way merge and the query's
-    /// root-path chain is verified on the intersected codes. Answers a
-    /// strict superset of the queries `Hv` answers.
+    /// Intersections"): the members all bind the answer node, so the
+    /// ordinary join intersects their refined fragment roots there and
+    /// verifies the query's root-path chain. Answers a superset of the
+    /// queries `Hv` answers.
     HvIntersect,
 }
 
@@ -365,18 +365,8 @@ impl Engine {
     pub fn add_view(&mut self, pattern: TreePattern) -> Result<ViewId, QueryError> {
         let views = Arc::make_mut(&mut self.views);
         let id = views.try_add(pattern).map_err(QueryError::Input)?;
-        let nfa = Arc::make_mut(&mut self.nfa);
-        for (idx, path) in views.view(id).normalized_paths.iter().enumerate() {
-            nfa.insert(
-                path,
-                AcceptEntry {
-                    view: id,
-                    path_idx: idx as u32,
-                    path_len: path.len() as u32,
-                    attr_mask: views.view(id).path_attr_masks[idx],
-                },
-            );
-        }
+        let view = views.view(id);
+        Arc::make_mut(&mut self.nfa).insert_view(view, &view.normalized_paths);
         Arc::make_mut(&mut self.store).materialize(
             &self.doc,
             &self.views,

@@ -19,7 +19,7 @@ use std::collections::HashSet;
 use xvr_pattern::{decompose, normalize, TreePattern};
 
 use crate::metrics::{Counter, StageCounters};
-use crate::nfa::{AcceptEntry, Nfa};
+use crate::nfa::Nfa;
 use crate::view::{ViewId, ViewSet};
 
 /// Result of filtering a query against a view set.
@@ -41,17 +41,7 @@ pub struct FilterOutcome {
 pub fn build_nfa(views: &ViewSet) -> Nfa {
     let mut nfa = Nfa::new();
     for view in views.iter() {
-        for (idx, path) in view.normalized_paths.iter().enumerate() {
-            nfa.insert(
-                path,
-                AcceptEntry {
-                    view: view.id,
-                    path_idx: idx as u32,
-                    path_len: path.len() as u32,
-                    attr_mask: view.path_attr_masks[idx],
-                },
-            );
-        }
+        nfa.insert_view(view, &view.normalized_paths);
     }
     nfa
 }
@@ -86,17 +76,7 @@ impl Default for FilterOptions {
 pub fn build_nfa_raw(views: &ViewSet) -> Nfa {
     let mut nfa = Nfa::new();
     for view in views.iter() {
-        for (idx, path) in view.decomposition.paths.iter().enumerate() {
-            nfa.insert(
-                path,
-                AcceptEntry {
-                    view: view.id,
-                    path_idx: idx as u32,
-                    path_len: path.len() as u32,
-                    attr_mask: view.path_attr_masks[idx],
-                },
-            );
-        }
+        nfa.insert_view(view, &view.decomposition.paths);
     }
     nfa
 }

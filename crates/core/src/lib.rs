@@ -110,9 +110,7 @@ pub use oracle::{
     load_corpus, replay, run_case, run_seed, shrink, BudgetSpec, CaseOutcome, CaseSpec, Injection,
     Invariant, OracleConfig, Reproducer, RunSummary, Violation,
 };
-pub use rewrite::{
-    rewrite_intersect_metered, rewrite_metered, rewrite_scan_metered, RewriteCache, RewriteError,
-};
+pub use rewrite::{rewrite_metered, rewrite_scan_metered, RewriteCache, RewriteError};
 pub use select::{
     select_cost_based_metered, select_heuristic_metered, select_intersection_metered,
     select_minimum_metered, SelectedView, Selection,

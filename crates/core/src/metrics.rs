@@ -95,13 +95,6 @@ pub enum Counter {
     IntersectAttempts,
     /// View subsets (size 2-3) probed by the intersection cover test.
     IntersectSubsetsTried,
-    /// Multi-way galloping intersect joins executed over refined
-    /// fragment-root arenas.
-    IntersectJoins,
-    /// Flat-code comparisons performed by the intersect joins.
-    IntersectComparisons,
-    /// Galloping probes issued by the intersect joins.
-    IntersectGallopProbes,
     /// Queries answered through the intersection fallback (as opposed to
     /// the plain heuristic path of `HvIntersect`).
     IntersectAnswered,
@@ -109,7 +102,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (the dense array size).
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 28;
 
     /// Every counter, in declaration (= index) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -140,9 +133,6 @@ impl Counter {
         Counter::AnswerCodes,
         Counter::IntersectAttempts,
         Counter::IntersectSubsetsTried,
-        Counter::IntersectJoins,
-        Counter::IntersectComparisons,
-        Counter::IntersectGallopProbes,
         Counter::IntersectAnswered,
     ];
 
@@ -176,9 +166,6 @@ impl Counter {
             Counter::AnswerCodes => "answer.codes",
             Counter::IntersectAttempts => "intersect.attempts",
             Counter::IntersectSubsetsTried => "intersect.subsets_tried",
-            Counter::IntersectJoins => "intersect.joins",
-            Counter::IntersectComparisons => "intersect.comparisons",
-            Counter::IntersectGallopProbes => "intersect.gallop_probes",
             Counter::IntersectAnswered => "intersect.answered",
         }
     }

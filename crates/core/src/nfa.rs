@@ -20,7 +20,7 @@ use xvr_pattern::paths::PathSymbol;
 use xvr_pattern::{Axis, PLabel, PathPattern};
 use xvr_xml::Label;
 
-use crate::view::ViewId;
+use crate::view::{View, ViewId};
 
 /// State index.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -121,6 +121,23 @@ impl Nfa {
             };
         }
         self.states[cur.0 as usize].accepts.push(entry);
+    }
+
+    /// Insert each of `view`'s paths — its normalized paths, or its raw
+    /// decomposition for the normalization ablation — accepting into
+    /// `view` under the path's decomposition index.
+    pub fn insert_view(&mut self, view: &View, paths: &[PathPattern]) {
+        for (idx, path) in paths.iter().enumerate() {
+            self.insert(
+                path,
+                AcceptEntry {
+                    view: view.id,
+                    path_idx: idx as u32,
+                    path_len: path.len() as u32,
+                    attr_mask: view.path_attr_masks[idx],
+                },
+            );
+        }
     }
 
     /// Number of states (including the start state and hubs).

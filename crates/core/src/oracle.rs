@@ -31,11 +31,12 @@
 //!     to the uncached reference rewriter for every view strategy
 //!     ([`Invariant::CacheDeterminism`]).
 //!   - Join equivalence: the galloping flat-code holistic join must be
-//!     byte-identical to the legacy scan-merge join on the same selection
+//!     byte-identical to the legacy scan-merge join on the same selection,
+//!     for `Hv` selections and `HvIntersect` intersection selections
 //!     ([`Invariant::JoinEquivalence`]).
 //!   - Intersection soundness: every code an `HvIntersect` answer emits
-//!     must appear in the `Bn` ground truth — the multi-way intersect
-//!     join may only narrow, never invent
+//!     must appear in the `Bn` ground truth — intersecting member views
+//!     may only narrow, never invent
 //!     ([`Invariant::IntersectionSoundness`]).
 //!   - Coverage monotonicity: `HvIntersect` runs the `Hv` heuristic first
 //!     and falls back to intersection only on failure, so it must answer
@@ -62,7 +63,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use xvr_pattern::generator::{relax, QueryConfig, QueryGenerator};
-use xvr_pattern::{contains, parse_pattern, TreePattern};
+use xvr_pattern::{contains, parse_pattern, parse_pattern_with, TreePattern};
 use xvr_xml::generator::{generate, Config};
 use xvr_xml::DeweyCode;
 
@@ -93,7 +94,7 @@ pub enum Invariant {
     /// join on the same selection.
     JoinEquivalence,
     /// An `HvIntersect` answer contained a code absent from the `Bn`
-    /// ground truth: the intersect join invented an answer.
+    /// ground truth: the intersection invented an answer.
     IntersectionSoundness,
     /// `Hv` answered but `HvIntersect` (heuristic-first fallback) did not.
     CoverageMonotonic,
@@ -156,7 +157,7 @@ pub enum Injection {
     /// Pretend the `Hv` rewriting joined a view VFILTER rejected.
     ClaimFilteredView,
     /// Drop the last code from every non-empty `HvIntersect` answer — an
-    /// intersect join that silently loses its final fragment root.
+    /// intersection that silently loses its final fragment root.
     DropLastIntersect,
 }
 
@@ -644,38 +645,41 @@ fn check_query(
             }
         }
         // Join equivalence: the galloping flat-code join must agree with
-        // the legacy scan-merge join on the same selection. Checked on one
-        // strategy (the joins are selection-level, not strategy-level) and
-        // pre-injection, like CacheDeterminism.
-        if s == Strategy::Hv {
-            if let (Some(selection), _, _) = snap.lookup(q, s, &mut StageCounters::new()) {
-                let scan = crate::rewrite::rewrite_scan_metered(
-                    q,
-                    &selection,
-                    snap.views(),
-                    snap.store(),
-                    &snap.doc().fst,
-                    &mut StageCounters::new(),
-                );
-                let same = match (&result, &scan) {
-                    (Ok(a), Ok(b)) => &a.codes == b,
-                    (Err(AnswerError::Rewrite(a)), Err(b)) => a == b,
-                    _ => false,
-                };
-                if !same {
-                    out.violations.push(fail(
-                        Invariant::JoinEquivalence,
-                        Some(s),
-                        format!(
-                            "galloping join ({}) disagrees with scan join ({})",
-                            describe(&result),
-                            match &scan {
-                                Ok(codes) => format!("{} codes", codes.len()),
-                                Err(e) => format!("error: {e}"),
-                            }
-                        ),
-                    ));
-                }
+        // the legacy scan-merge join on the same selection. The joins are
+        // selection-level, so this runs on `Hv` selections and on
+        // `HvIntersect`'s intersection selections, where the scan join's
+        // per-node `all(binary_search)` is an independent intersection.
+        // Pre-injection, like CacheDeterminism.
+        let join_selection = matches!(s, Strategy::Hv | Strategy::HvIntersect)
+            .then(|| snap.lookup(q, s, &mut StageCounters::new()).0)
+            .flatten()
+            .filter(|sel| s == Strategy::Hv || sel.intersection);
+        if let Some(selection) = join_selection {
+            let scan = crate::rewrite::rewrite_scan_metered(
+                q,
+                &selection,
+                snap.store(),
+                &snap.doc().fst,
+                &mut StageCounters::new(),
+            );
+            let same = match (&result, &scan) {
+                (Ok(a), Ok(b)) => &a.codes == b,
+                (Err(AnswerError::Rewrite(a)), Err(b)) => a == b,
+                _ => false,
+            };
+            if !same {
+                out.violations.push(fail(
+                    Invariant::JoinEquivalence,
+                    Some(s),
+                    format!(
+                        "galloping join ({}) disagrees with scan join ({})",
+                        describe(&result),
+                        match &scan {
+                            Ok(codes) => format!("{} codes", codes.len()),
+                            Err(e) => format!("error: {e}"),
+                        }
+                    ),
+                ));
             }
         }
         inject(cfg.injection, s, &mut result, &mut trace, &all_ids);
@@ -694,7 +698,7 @@ fn check_query(
                 out.answered += usize::from(!matches!(s, Strategy::Bf));
                 out.hv_answered += usize::from(s == Strategy::Hv);
                 out.hvi_answered += usize::from(s == Strategy::HvIntersect);
-                // Intersection soundness: the intersect join may only
+                // Intersection soundness: intersecting may only
                 // narrow the member answer sets, so every emitted code must
                 // already be a ground-truth answer. (The differential check
                 // subsumes this for equality; a dedicated invariant keeps
@@ -899,16 +903,35 @@ fn largest_view_bytes(doc: &xvr_xml::Document, views: &[TreePattern]) -> usize {
         .unwrap_or(0)
 }
 
+/// Member views of the planted intersection probe: each keeps one
+/// predicate of [`PROBE_QUERY`] and binds the answer node.
+const PROBE_VIEWS: [&str; 2] = [
+    "/site/people/person[phone]//name",
+    "/site/people/person[homepage]//name",
+];
+
+/// A query the two [`PROBE_VIEWS`] answer jointly but neither alone, so
+/// a case whose members materialize completely reaches the
+/// `HvIntersect` fallback and the invariants that guard it (unless a
+/// broader generated view already answers it under `Hv`).
+const PROBE_QUERY: &str = "/site/people/person[phone][homepage]//name";
+
 /// Run all checks for one [`CaseSpec`]: generate the document, the view
-/// set (paper workload), and `n_queries` queries (alternating the paper's
-/// workload with the adversarial one), then cross-check every strategy.
+/// set (paper workload plus the two [`PROBE_VIEWS`]), and `n_queries`
+/// queries (the paper's workload alternating with the adversarial one,
+/// with [`PROBE_QUERY`] in the last slot), then cross-check every
+/// strategy.
 pub fn run_case(spec: &CaseSpec, cfg: &OracleConfig) -> CaseOutcome {
-    let doc = generate(&spec.doc);
-    let views = xvr_pattern::distinct_positive_patterns(
+    let mut doc = generate(&spec.doc);
+    let mut views = xvr_pattern::distinct_positive_patterns(
         &doc,
         QueryConfig::paper_view_workload(spec.view_seed),
         spec.n_views,
     );
+    for src in PROBE_VIEWS {
+        views.push(parse_pattern_with(src, &mut doc.labels).expect("probe view parses"));
+    }
+    let probe = parse_pattern_with(PROBE_QUERY, &mut doc.labels).expect("probe query parses");
     let view_srcs: Vec<String> = views
         .iter()
         .map(|v| v.display(&doc.labels).to_string())
@@ -921,7 +944,7 @@ pub fn run_case(spec: &CaseSpec, cfg: &OracleConfig) -> CaseOutcome {
         QueryConfig::adversarial_workload(mix(spec.query_seed)),
     );
     let mut queries: Vec<TreePattern> = Vec::with_capacity(spec.n_queries);
-    for i in 0..spec.n_queries {
+    for i in 0..spec.n_queries.saturating_sub(1) {
         let gen = if i % 2 == 0 {
             &mut paper
         } else {
@@ -933,6 +956,9 @@ pub fn run_case(spec: &CaseSpec, cfg: &OracleConfig) -> CaseOutcome {
             Some(q) => queries.push(q),
             None => queries.push(gen.generate()),
         }
+    }
+    if spec.n_queries > 0 {
+        queries.push(probe);
     }
     let mut engine_cfg = cfg.engine.clone();
     engine_cfg.fragment_budget = budget;
@@ -1294,7 +1320,7 @@ mod tests {
             hvi += outcome.hvi_answered;
         }
         assert!(hv > 0, "Hv never answered — coverage accounting vacuous");
-        assert!(hvi >= hv);
+        assert!(hvi > hv, "the planted probe never reached the fallback");
     }
 
     #[test]

@@ -33,20 +33,24 @@
 //! by the oracle's `JoinEquivalence` invariant and the join-differential
 //! tests.
 //!
-//! Each join is one function taking the query's [`StageCounters`]:
-//! [`rewrite_metered`] (general, optionally cached),
-//! [`rewrite_intersect_metered`] (`HvIntersect` selections) and
-//! [`rewrite_scan_metered`] (the reference). Callers that keep no counters
-//! pass a scratch `&mut StageCounters::new()`.
+//! Every selection — leaf-cover or `HvIntersect` intersection — goes
+//! through [`rewrite_metered`] (optionally cached). An intersection needs
+//! no join of its own: all its units bind `m = RET(Q)`, so they share one
+//! skeleton node and the join ANDs their restriction bitmaps there. The
+//! scan join [`rewrite_scan_metered`] is the reference. Both take the
+//! query's [`StageCounters`]; callers that keep no counters pass a
+//! scratch `&mut StageCounters::new()`.
 //!
 //! Together with the soundness of the leaf-cover rule (see
 //! [`crate::leafcover`]) this yields an *equivalent* rewriting: the output
 //! equals direct evaluation of the query on the base document — the
 //! property the integration suite checks end-to-end.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, RwLock};
 
 use xvr_pattern::{
@@ -54,7 +58,7 @@ use xvr_pattern::{
     TreePattern,
 };
 use xvr_xml::flat::{self, flat_cmp};
-use xvr_xml::{intersect_many, CmpStats, DeweyCode, FlatCodes, Fst, Label, NodeId, XmlTree};
+use xvr_xml::{CmpStats, DeweyCode, FlatCodes, Fst, Label, NodeId, XmlTree};
 
 use crate::materialize::{MaterializedStore, MaterializedView};
 use crate::metrics::{Counter, StageCounters};
@@ -100,7 +104,8 @@ impl std::error::Error for RewriteError {}
 /// itself still gallops over flat codes). The two are checked
 /// byte-identical by the determinism tests and the oracle's
 /// `CacheDeterminism` invariant, and both against the legacy scan join
-/// ([`rewrite_scan_metered`]) by `JoinEquivalence`.
+/// ([`rewrite_scan_metered`]) by `JoinEquivalence`. `views` is unused; the
+/// parameter stays because the `xvrbench` package calls this signature.
 ///
 /// Records cache hits/misses, fragments scanned during refinement,
 /// fast-path vs. holistic-join dispatch, and the flat-comparison work —
@@ -116,7 +121,7 @@ pub fn rewrite_metered(
     cache: Option<&RewriteCache>,
     counters: &mut StageCounters,
 ) -> Result<Vec<DeweyCode>, RewriteError> {
-    let _ = views; // selection already carries everything pattern-level
+    let _ = views;
     counters.bump(Counter::RewriteRuns);
     let mut stats = CmpStats::default();
     let result = rewrite_gallop(q, selection, store, fst, cache, counters, &mut stats);
@@ -172,18 +177,18 @@ impl Refined {
 ///   prefixes of refined codes exist in both the superset tree and the
 ///   per-query tree — so restricting the join (the `admissible`
 ///   predicate) yields identical anchors.
-/// * **Restriction bitmaps** (`bitmaps`) — keyed by (tree key, refinement
-///   key): which prefix-tree nodes carry a refined code, precomputed by a
-///   galloping merge-intersection. Warm joins never compare codes; the
-///   `admissible` probe is a bit test.
+/// * **Restriction bitmaps** (`bitmaps`) — keyed by tree key and
+///   refinement key: which prefix-tree nodes carry a refined code,
+///   precomputed by a galloping merge-intersection. Warm joins never
+///   compare codes; the `admissible` probe is a bit test.
 /// * **Chain verdicts** (`chains`) — keyed by `(view, trunk-chain
 ///   fingerprint)`: a bitmap over the view's fragments recording which
 ///   FST-decoded ancestor paths embed the single-unit trunk chain. Warm
 ///   fast-path rewrites reduce to bit probes over the anchor pairs.
 ///
-/// Concurrent misses may compute a value twice; the first insert wins and
-/// every thread observes that one (the computation is deterministic, so
-/// the race is benign).
+/// Every map goes through one memo body. Concurrent misses may compute a
+/// value twice; the first insert wins and every thread observes that one
+/// (the computation is deterministic, so the race is benign).
 #[derive(Default)]
 pub struct RewriteCache {
     /// `"view:fingerprint"` → surviving codes (non-anchor refinement).
@@ -192,9 +197,8 @@ pub struct RewriteCache {
     anchors: RwLock<HashMap<String, Arc<Anchors>>>,
     /// Sorted distinct views of a selection → superset code prefix tree.
     trees: RwLock<HashMap<Vec<ViewId>, Arc<PrefixTree>>>,
-    /// (tree key, refinement key) → bitmap over prefix-tree nodes.
-    #[allow(clippy::type_complexity)]
-    bitmaps: RwLock<HashMap<(Vec<ViewId>, String), Arc<Vec<u64>>>>,
+    /// `"{tree key:?}{refinement key}"` → bitmap over prefix-tree nodes.
+    bitmaps: RwLock<HashMap<String, Arc<Vec<u64>>>>,
     /// `"view:chain-fingerprint"` → bitmap over the view's fragments.
     chains: RwLock<HashMap<String, Arc<Vec<u64>>>>,
 }
@@ -204,150 +208,83 @@ impl RewriteCache {
     pub fn new() -> RewriteCache {
         RewriteCache::default()
     }
+}
 
-    fn refined_codes(
-        &self,
-        key: &str,
-        compensating: &TreePattern,
-        mv: &MaterializedView,
-        scratch: &mut EvalScratch,
-        counters: &mut StageCounters,
-    ) -> Arc<FlatCodes> {
-        if let Some(hit) = self.refined.read().unwrap().get(key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Arc::clone(hit);
-        }
-        counters.bump(Counter::RewriteCacheMisses);
-        let val = Arc::new(compute_refined(compensating, mv, scratch, counters));
-        Arc::clone(
-            self.refined
-                .write()
-                .unwrap()
-                .entry(key.to_string())
-                .or_insert(val),
-        )
+/// The one memo body behind every [`RewriteCache`] map: a hit clones the
+/// stored `Arc` (the key is borrowed, so a hit allocates nothing); a miss
+/// computes outside the lock and keeps whichever insert lands first.
+/// With `map: None` — the uncached path — `compute` runs every time and
+/// neither hits nor misses are counted.
+fn memo<K, Q, V>(
+    map: Option<&RwLock<HashMap<K, Arc<V>>>>,
+    key: &Q,
+    counters: &mut StageCounters,
+    compute: impl FnOnce(&mut StageCounters) -> Result<V, RewriteError>,
+) -> Result<Arc<V>, RewriteError>
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: ToOwned<Owned = K> + Hash + Eq + ?Sized,
+{
+    let Some(map) = map else {
+        return compute(counters).map(Arc::new);
+    };
+    if let Some(hit) = map.read().unwrap().get(key) {
+        counters.bump(Counter::RewriteCacheHits);
+        return Ok(Arc::clone(hit));
     }
+    counters.bump(Counter::RewriteCacheMisses);
+    let val = Arc::new(compute(counters)?);
+    Ok(Arc::clone(
+        map.write().unwrap().entry(key.to_owned()).or_insert(val),
+    ))
+}
 
-    fn anchor_pairs(
-        &self,
-        key: &str,
-        compensating: &TreePattern,
-        mv: &MaterializedView,
-        scratch: &mut EvalScratch,
-        counters: &mut StageCounters,
-    ) -> Arc<Anchors> {
-        if let Some(hit) = self.anchors.read().unwrap().get(key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Arc::clone(hit);
+/// The superset prefix tree of a selection's view set: the prefix
+/// closure of **all** fragment codes of the views in `key`.
+fn superset_tree(
+    key: &[ViewId],
+    store: &MaterializedStore,
+    fst: &Fst,
+) -> Result<PrefixTree, RewriteError> {
+    let mut all: Vec<Vec<u8>> = Vec::new();
+    for &v in key {
+        let mv = store.get(v).expect("selected views are materialized");
+        let mut cur = mv.packed_codes().cursor();
+        while let Some(code) = cur.advance() {
+            all.push(code.to_vec());
         }
-        counters.bump(Counter::RewriteCacheMisses);
-        let val = Arc::new(compute_anchor_pairs(compensating, mv, scratch, counters));
-        Arc::clone(
-            self.anchors
-                .write()
-                .unwrap()
-                .entry(key.to_string())
-                .or_insert(val),
-        )
     }
+    all.sort_unstable_by(|a, b| flat_cmp(a, b));
+    all.dedup();
+    PrefixTree::build_sorted(all.iter().map(|c| c.as_slice()), fst)
+}
 
-    fn prefix_tree(
-        &self,
-        key: &[ViewId],
-        store: &MaterializedStore,
-        fst: &Fst,
-        counters: &mut StageCounters,
-    ) -> Result<Arc<PrefixTree>, RewriteError> {
-        if let Some(hit) = self.trees.read().unwrap().get(key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Ok(Arc::clone(hit));
+/// Which fragments of `mv` have an FST-decoded ancestor path embedding
+/// the trunk chain — the single-unit join verdict, memoized per
+/// (view, chain shape).
+fn chain_bits(
+    q: &TreePattern,
+    chain: &[PNodeId],
+    mv: &MaterializedView,
+    fst: &Fst,
+    counters: &mut StageCounters,
+) -> Result<Vec<u64>, RewriteError> {
+    let mut bits = vec![0u64; mv.fragments.len().div_ceil(64)];
+    for (fi, code) in mv.fragments.codes().enumerate() {
+        let path = fst
+            .decode(code.components())
+            .ok_or_else(|| RewriteError::UndecodableCode(code.clone()))?;
+        // The positional DP walks the decoded ancestor path once per
+        // chain node.
+        counters.add(
+            Counter::RewriteDeweyComparisons,
+            (path.len() * chain.len()) as u64,
+        );
+        if chain_matches(q, chain, &path) {
+            bits[fi / 64] |= 1 << (fi % 64);
         }
-        counters.bump(Counter::RewriteCacheMisses);
-        let mut all: Vec<Vec<u8>> = Vec::new();
-        for &v in key {
-            let mv = store.get(v).expect("selected views are materialized");
-            let mut cur = mv.packed_codes().cursor();
-            while let Some(code) = cur.advance() {
-                all.push(code.to_vec());
-            }
-        }
-        all.sort_unstable_by(|a, b| flat_cmp(a, b));
-        all.dedup();
-        let val = Arc::new(PrefixTree::build_sorted(
-            all.iter().map(|c| c.as_slice()),
-            fst,
-        )?);
-        Ok(Arc::clone(
-            self.trees
-                .write()
-                .unwrap()
-                .entry(key.to_vec())
-                .or_insert(val),
-        ))
     }
-
-    /// Which prefix-tree nodes carry a code from `list` — memoized so a
-    /// warm join performs zero code comparisons.
-    fn restriction_bits(
-        &self,
-        tree_key: &[ViewId],
-        unit_key: &str,
-        tree: &PrefixTree,
-        list: &FlatCodes,
-        stats: &mut CmpStats,
-        counters: &mut StageCounters,
-    ) -> Arc<Vec<u64>> {
-        let key = (tree_key.to_vec(), unit_key.to_string());
-        if let Some(hit) = self.bitmaps.read().unwrap().get(&key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Arc::clone(hit);
-        }
-        counters.bump(Counter::RewriteCacheMisses);
-        let val = Arc::new(intersect_bits(&tree.codes, list, stats));
-        Arc::clone(self.bitmaps.write().unwrap().entry(key).or_insert(val))
-    }
-
-    /// Which fragments of `mv` have an FST-decoded ancestor path embedding
-    /// the trunk chain — the single-unit join verdict, memoized per
-    /// (view, chain shape).
-    fn chain_bits(
-        &self,
-        key: &str,
-        q: &TreePattern,
-        chain: &[PNodeId],
-        mv: &MaterializedView,
-        fst: &Fst,
-        counters: &mut StageCounters,
-    ) -> Result<Arc<Vec<u64>>, RewriteError> {
-        if let Some(hit) = self.chains.read().unwrap().get(key) {
-            counters.bump(Counter::RewriteCacheHits);
-            return Ok(Arc::clone(hit));
-        }
-        counters.bump(Counter::RewriteCacheMisses);
-        let mut bits = vec![0u64; mv.fragments.len().div_ceil(64)];
-        for (fi, code) in mv.fragments.codes().enumerate() {
-            let path = fst
-                .decode(code.components())
-                .ok_or_else(|| RewriteError::UndecodableCode(code.clone()))?;
-            // The positional DP walks the decoded ancestor path once per
-            // chain node.
-            counters.add(
-                Counter::RewriteDeweyComparisons,
-                (path.len() * chain.len()) as u64,
-            );
-            if chain_matches(q, chain, &path) {
-                bits[fi / 64] |= 1 << (fi % 64);
-            }
-        }
-        let val = Arc::new(bits);
-        Ok(Arc::clone(
-            self.chains
-                .write()
-                .unwrap()
-                .entry(key.to_string())
-                .or_insert(val),
-        ))
-    }
+    Ok(bits)
 }
 
 /// A compensating pattern that constrains nothing beyond its root label:
@@ -541,22 +478,17 @@ fn rewrite_gallop(
             .map(|_| format!("{}:{}", unit.view.0, compensating.fingerprint()))
             .unwrap_or_default();
         if i == selection.anchor {
-            let pairs = match cache {
-                Some(c) => c.anchor_pairs(&key, &compensating, mv, &mut scratch, counters),
-                None => Arc::new(compute_anchor_pairs(
-                    &compensating,
-                    mv,
-                    &mut scratch,
-                    counters,
-                )),
-            };
+            let map = cache.map(|c| &c.anchors);
+            let pairs = memo(map, key.as_str(), counters, |ctr| {
+                Ok(compute_anchor_pairs(&compensating, mv, &mut scratch, ctr))
+            })?;
             refined.push(Refined::Anchor(Arc::clone(&pairs)));
             anchor_ref = Some(pairs);
         } else {
-            let codes = match cache {
-                Some(c) => c.refined_codes(&key, &compensating, mv, &mut scratch, counters),
-                None => Arc::new(compute_refined(&compensating, mv, &mut scratch, counters)),
-            };
+            let map = cache.map(|c| &c.refined);
+            let codes = memo(map, key.as_str(), counters, |ctr| {
+                Ok(compute_refined(&compensating, mv, &mut scratch, ctr))
+            })?;
             refined.push(Refined::Plain(codes));
         }
         unit_keys.push(key);
@@ -576,7 +508,9 @@ fn rewrite_gallop(
             let mv = store.get(unit.view).expect("checked above");
             let chain = q.root_path(unit.cover.m);
             let key = chain_key(q, &chain, unit.view);
-            let bits = c.chain_bits(&key, q, &chain, mv, fst, counters)?;
+            let bits = memo(Some(&c.chains), key.as_str(), counters, |ctr| {
+                chain_bits(q, &chain, mv, fst, ctr)
+            })?;
             let mut out: Vec<DeweyCode> = Vec::new();
             for (i, &fi) in anchors.frag.iter().enumerate() {
                 if bit(&bits, fi as usize) {
@@ -596,7 +530,9 @@ fn rewrite_gallop(
     tree_key.sort();
     tree_key.dedup();
     let prefix_tree: Arc<PrefixTree> = match cache {
-        Some(c) => c.prefix_tree(&tree_key, store, fst, counters)?,
+        Some(c) => memo(Some(&c.trees), tree_key.as_slice(), counters, |_| {
+            superset_tree(&tree_key, store, fst)
+        })?,
         None => {
             let mut all: Vec<&[u8]> = refined.iter().flat_map(|r| r.codes().iter()).collect();
             all.sort_unstable_by(|a, b| flat_cmp(a, b));
@@ -610,21 +546,18 @@ fn rewrite_gallop(
     // Per-skeleton-node admissibility bitmaps: each unit pins its `m` to
     // the prefix-tree nodes carrying one of its refined codes (a galloping
     // intersection of two sorted lists, memoized per (tree, refinement));
-    // several units on the same node AND together.
+    // several units on the same node AND together. That AND is the whole
+    // of an `HvIntersect` selection: its members all pin the answer node.
     let mut node_bits: HashMap<PNodeId, Vec<u64>> = HashMap::new();
     for (ui, (unit, r)) in selection.units.iter().zip(refined.iter()).enumerate() {
         let s = skeleton.q_to_s[&unit.cover.m];
-        let bits: Arc<Vec<u64>> = match cache {
-            Some(c) => c.restriction_bits(
-                &tree_key,
-                &unit_keys[ui],
-                &prefix_tree,
-                r.codes(),
-                stats,
-                counters,
-            ),
-            None => Arc::new(intersect_bits(&prefix_tree.codes, r.codes(), stats)),
-        };
+        let bits_key = cache
+            .map(|_| format!("{tree_key:?}{}", unit_keys[ui]))
+            .unwrap_or_default();
+        let map = cache.map(|c| &c.bitmaps);
+        let bits = memo(map, bits_key.as_str(), counters, |_| {
+            Ok(intersect_bits(&prefix_tree.codes, r.codes(), stats))
+        })?;
         match node_bits.entry(s) {
             Entry::Vacant(e) => {
                 e.insert(bits.as_ref().clone());
@@ -666,123 +599,6 @@ fn rewrite_gallop(
     out.sort();
     out.dedup();
     Ok(out)
-}
-
-/// Intersection rewrite (the `HvIntersect` fallback): every unit of the
-/// selection binds `m = RET(Q)`, so the join degenerates into a set
-/// intersection of the units' refined fragment-root code lists — computed
-/// with the multi-way galloping merge [`intersect_many`] over the flat
-/// arenas — followed by the existing prefix-tree chain evaluation over the
-/// intersected set and extraction from the anchor unit's fragments.
-///
-/// Counter accounting: the multi-way merge's comparison work lands in the
-/// `intersect.*` counters ([`Counter::IntersectJoins`],
-/// [`Counter::IntersectComparisons`], [`Counter::IntersectGallopProbes`]);
-/// refinement and the chain evaluation report through the usual `rewrite.*`
-/// counters, so the marginal cost of intersecting is directly readable.
-///
-/// With `cache: Some(_)` the per-member refined code lists and the
-/// anchor's extraction pairs are memoized through the snapshot's
-/// [`RewriteCache`], under the cache keys of the general rewriter.
-pub fn rewrite_intersect_metered(
-    q: &TreePattern,
-    selection: &Selection,
-    views: &ViewSet,
-    store: &MaterializedStore,
-    fst: &Fst,
-    cache: Option<&RewriteCache>,
-    counters: &mut StageCounters,
-) -> Result<Vec<DeweyCode>, RewriteError> {
-    let _ = views;
-    debug_assert!(selection.intersection, "selection must be an intersection");
-    debug_assert!(
-        selection.units.iter().all(|u| u.cover.m == q.answer()),
-        "every intersection member binds the answer node"
-    );
-    counters.bump(Counter::RewriteRuns);
-    let mut scratch = EvalScratch::new();
-    // Stage 1: refine each member with the shared compensating pattern
-    // (the query subtree below the answer), exactly as the general path.
-    let compensating = q.subtree_pattern(q.answer(), Axis::Descendant);
-    let mut member_codes: Vec<Arc<FlatCodes>> = Vec::new();
-    let mut anchor_ref: Option<Arc<Anchors>> = None;
-    for (i, unit) in selection.units.iter().enumerate() {
-        let mv = store
-            .get(unit.view)
-            .ok_or(RewriteError::NotMaterialized(unit.view))?;
-        if !mv.complete() {
-            return Err(RewriteError::IncompleteMaterialization(unit.view));
-        }
-        let key = cache
-            .map(|_| format!("{}:{}", unit.view.0, compensating.fingerprint()))
-            .unwrap_or_default();
-        if i == selection.anchor {
-            let pairs = match cache {
-                Some(c) => c.anchor_pairs(&key, &compensating, mv, &mut scratch, counters),
-                None => Arc::new(compute_anchor_pairs(
-                    &compensating,
-                    mv,
-                    &mut scratch,
-                    counters,
-                )),
-            };
-            anchor_ref = Some(pairs);
-        } else {
-            let codes = match cache {
-                Some(c) => c.refined_codes(&key, &compensating, mv, &mut scratch, counters),
-                None => Arc::new(compute_refined(&compensating, mv, &mut scratch, counters)),
-            };
-            member_codes.push(codes);
-        }
-    }
-    let anchors = anchor_ref.expect("selection has an anchor unit");
-
-    // Stage 2: multi-way galloping intersection over the flat arenas.
-    counters.bump(Counter::IntersectJoins);
-    let mut join_stats = CmpStats::default();
-    let mut lists: Vec<&FlatCodes> = Vec::with_capacity(selection.units.len());
-    lists.push(&anchors.codes);
-    lists.extend(member_codes.iter().map(|c| c.as_ref()));
-    let intersected = intersect_many(&lists, &mut join_stats);
-    counters.add(Counter::IntersectComparisons, join_stats.comparisons);
-    counters.add(Counter::IntersectGallopProbes, join_stats.probes);
-
-    // Stage 3: the existing prefix-tree evaluation, restricted to the
-    // intersected set, verifies the chain `root → RET(Q)` against the
-    // FST-decoded ancestor labels; extraction then reads the anchor pairs.
-    let mut stats = CmpStats::default();
-    let result = (|| {
-        let stats = &mut stats;
-        let tree = PrefixTree::build_sorted(intersected.iter(), fst)?;
-        if tree.tree.is_empty() {
-            return Ok(Vec::new());
-        }
-        let skeleton = Skeleton::build(q, selection);
-        let bits = intersect_bits(&tree.codes, &intersected, stats);
-        let s_answer = skeleton.q_to_s[&q.answer()];
-        let admissible = |s: PNodeId, x: NodeId| -> bool { s != s_answer || bit(&bits, x.index()) };
-        let anchor_nodes =
-            eval_restricted_in(&skeleton.pattern, &tree.tree, &admissible, &mut scratch);
-        let mut idxs: Vec<usize> = anchor_nodes.iter().map(|n| n.index()).collect();
-        idxs.sort_unstable();
-        let mut out: Vec<DeweyCode> = Vec::new();
-        let mut pos = 0usize;
-        for i in idxs {
-            let code = tree.codes.get(i);
-            pos = anchors.codes.gallop_lower_bound(pos, code, stats);
-            if pos < anchors.codes.len() && stats.eq(anchors.codes.get(pos), code) {
-                out.extend(anchors.answers[pos].iter().cloned());
-            }
-        }
-        out.sort();
-        out.dedup();
-        Ok(out)
-    })();
-    counters.add(Counter::RewriteDeweyComparisons, stats.comparisons);
-    counters.add(Counter::RewriteGallopProbes, stats.probes);
-    counters.add(Counter::RewriteComparisonsSkipped, stats.skipped);
-    counters.add(Counter::RewriteBytesCompared, stats.bytes);
-    result
 }
 
 /// The query skeleton: the union of the chains `root → m_i`, as a pattern
@@ -953,12 +769,10 @@ fn bsearch_cost(len: usize) -> u64 {
 pub fn rewrite_scan_metered(
     q: &TreePattern,
     selection: &Selection,
-    views: &ViewSet,
     store: &MaterializedStore,
     fst: &Fst,
     counters: &mut StageCounters,
 ) -> Result<Vec<DeweyCode>, RewriteError> {
-    let _ = views;
     counters.bump(Counter::RewriteRuns);
     let mut scratch = EvalScratch::new();
     // Stage 1: refinement, on per-component codes.
@@ -1223,7 +1037,7 @@ mod tests {
         let store = MaterializedStore::materialize_all(&doc, &views, 60);
         let err = rewrite_metered(&q, &selection, &views, &store, &doc.fst, None, c).unwrap_err();
         assert!(matches!(err, RewriteError::IncompleteMaterialization(_)));
-        let err = rewrite_scan_metered(&q, &selection, &views, &store, &doc.fst, c).unwrap_err();
+        let err = rewrite_scan_metered(&q, &selection, &store, &doc.fst, c).unwrap_err();
         assert!(matches!(err, RewriteError::IncompleteMaterialization(_)));
     }
 
@@ -1302,7 +1116,7 @@ mod tests {
                 panic!("{qsrc}: expected answerable");
             };
             let cache = RewriteCache::new();
-            let scan = rewrite_scan_metered(&q, &sel, &views, &store, &doc.fst, c).unwrap();
+            let scan = rewrite_scan_metered(&q, &sel, &store, &doc.fst, c).unwrap();
             let gallop = rewrite_metered(&q, &sel, &views, &store, &doc.fst, None, c).unwrap();
             assert_eq!(scan, gallop, "{qsrc} (uncached)");
             for pass in 0..2 {

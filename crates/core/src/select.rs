@@ -48,11 +48,10 @@ pub struct Selection {
     pub units: Vec<SelectedView>,
     /// Index of the anchor unit (its cover has `covers_answer`).
     pub anchor: usize,
-    /// `true` for a selection produced by [`select_intersection_metered`]:
-    /// every unit binds `m = RET(Q)` and the rewriting must intersect the
-    /// units' refined fragment-root sets
-    /// ([`crate::rewrite::rewrite_intersect_metered`]) instead of running the
-    /// general holistic join.
+    /// `true` for a selection produced by [`select_intersection_metered`]
+    /// (every unit binds `m = RET(Q)`). Provenance only: it feeds the
+    /// `intersect.answered` counter; the rewriter does not read it, since
+    /// the general join already intersects units that share a node.
     pub intersection: bool,
 }
 

@@ -50,7 +50,7 @@ use crate::leafcover::Obligations;
 use crate::materialize::MaterializedStore;
 use crate::metrics::{Counter, QueryReport, SnapshotMetrics, StageCounters};
 use crate::nfa::Nfa;
-use crate::rewrite::{rewrite_intersect_metered, rewrite_metered, RewriteCache};
+use crate::rewrite::{rewrite_metered, RewriteCache};
 use crate::select::{
     select_cost_based_metered, select_heuristic_metered, select_intersection_metered,
     select_minimum_metered, Selection,
@@ -500,29 +500,15 @@ impl EngineSnapshot {
                 let candidates = trace.usable.len();
                 let t0 = Instant::now();
                 let cache = use_cache.then_some(self.rewrite_cache.as_ref());
-                let result = if selection.intersection {
-                    // Intersection selections join by set intersection of
-                    // same-`m` units.
-                    rewrite_intersect_metered(
-                        q,
-                        &selection,
-                        &self.views,
-                        &self.store,
-                        &self.doc.fst,
-                        cache,
-                        counters,
-                    )
-                } else {
-                    rewrite_metered(
-                        q,
-                        &selection,
-                        &self.views,
-                        &self.store,
-                        &self.doc.fst,
-                        cache,
-                        counters,
-                    )
-                };
+                let result = rewrite_metered(
+                    q,
+                    &selection,
+                    &self.views,
+                    &self.store,
+                    &self.doc.fst,
+                    cache,
+                    counters,
+                );
                 let codes = match result {
                     Ok(codes) => codes,
                     Err(e) => return (Err(AnswerError::Rewrite(e)), trace, timings),

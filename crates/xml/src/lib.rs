@@ -36,7 +36,7 @@ pub mod tree;
 
 pub use dewey::{DeweyAssignment, DeweyCode};
 pub use error::ParseError;
-pub use flat::{encode_code, flat_cmp, flat_is_prefix, intersect_many, CmpStats, FlatCodes};
+pub use flat::{encode_code, flat_cmp, flat_is_prefix, CmpStats, FlatCodes};
 pub use fragment::{fragment_footprint, FragmentSet, MaterializeStats};
 pub use fst::Fst;
 pub use index::{NodeIndex, PathIndex};

@@ -1,10 +1,13 @@
 //! Intersection-aware rewriting (`Strategy::HvIntersect`): deterministic
 //! fixed cases for the coverage gain, the soundness boundary, budget
-//! truncation, and cache byte-identity — plus a seeded differential
+//! truncation, cache byte-identity and join agreement — plus a seeded differential
 //! asserting the strategy equals `Bn` ground truth on every case where it
 //! claims answerability, and answers at least everything `Hv` answers.
 
-use xvr_core::{AnswerError, Engine, EngineConfig, QueryOptions, Strategy};
+use xvr_core::{
+    rewrite_metered, rewrite_scan_metered, AnswerError, Counter, Engine, EngineConfig,
+    QueryOptions, RewriteCache, StageCounters, Strategy,
+};
 use xvr_pattern::distinct_positive_patterns;
 use xvr_pattern::generator::{QueryConfig, QueryGenerator};
 use xvr_xml::generator::{generate, Config};
@@ -160,6 +163,39 @@ fn cached_and_uncached_intersections_are_byte_identical() {
             .codes;
         assert_eq!(cached, uncached, "round {round}");
     }
+}
+
+/// An intersection selection is an ordinary selection for the join: the
+/// scan join (whose per-node `all(binary_search)` intersects the member
+/// lists independently), the uncached galloping join and the cached one,
+/// cold and warm, all return `Bn` ground truth.
+#[test]
+fn every_join_agrees_on_an_intersection_selection() {
+    let engine = engine_with(GAIN_DOC, &["/a/b[x]//c", "/a/b[y]//c"], usize::MAX);
+    let snap = engine.snapshot();
+    let q = snap.parse("/a/b[x][y]//c").unwrap();
+    let ground = snap
+        .query(&q, &QueryOptions::strategy(Strategy::Bn))
+        .answer
+        .unwrap()
+        .codes;
+    let (selection, _, _) = snap.lookup(&q, Strategy::HvIntersect, &mut StageCounters::new());
+    let selection = selection.expect("the view intersection answers the query");
+    assert!(selection.intersection);
+    let (store, fst) = (snap.store(), &snap.doc().fst);
+    let scan = rewrite_scan_metered(&q, &selection, store, fst, &mut StageCounters::new());
+    assert_eq!(scan.unwrap(), ground, "scan join");
+    let join = |cache, counters: &mut StageCounters| {
+        rewrite_metered(&q, &selection, snap.views(), store, fst, cache, counters).unwrap()
+    };
+    assert_eq!(join(None, &mut StageCounters::new()), ground, "uncached");
+    let cache = RewriteCache::new();
+    let (mut cold, mut warm) = (StageCounters::new(), StageCounters::new());
+    assert_eq!(join(Some(&cache), &mut cold), ground, "cold cache");
+    assert_eq!(join(Some(&cache), &mut warm), ground, "warm cache");
+    assert!(cold.get(Counter::RewriteCacheMisses) > 0);
+    assert_eq!(warm.get(Counter::RewriteCacheMisses), 0);
+    assert!(warm.get(Counter::RewriteCacheHits) > 0);
 }
 
 /// Seeded differential: on randomized documents, view sets, and positive

@@ -114,14 +114,8 @@ fn galloping_and_scan_joins_agree() {
                         &mut StageCounters::new(),
                     )
                 };
-                let scan = rewrite_scan_metered(
-                    &q,
-                    &sel,
-                    views,
-                    store,
-                    &doc.fst,
-                    &mut StageCounters::new(),
-                );
+                let scan =
+                    rewrite_scan_metered(&q, &sel, store, &doc.fst, &mut StageCounters::new());
                 let what = format!("{strategy} on {} (seed {seed})", q.display(&doc.labels));
                 assert_eq!(gallop(None), scan, "uncached join disagrees: {what}");
                 for pass in 0..2 {
